@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, Optional
 
 from repro.common.errors import ConfigError
@@ -254,8 +254,28 @@ class ResilienceConfig:
         self.retry_policy()  # validates the backoff fields
 
 
+def _require(doc: Any, path: str) -> Any:
+    """The value at dotted *path* in a config document, or a
+    :class:`ConfigError` naming the missing key."""
+    value = doc
+    for key in path.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise ConfigError(f"config document lacks key {path!r}")
+        value = value[key]
+    return value
+
+
+def _build(cls: type, section: str, values: Dict[str, Any]) -> Any:
+    """``cls(**values)``, or a :class:`ConfigError` naming every field of
+    *values* that *cls* does not have."""
+    unknown = sorted(set(values) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {section} config field(s) {unknown}")
+    return cls(**values)
+
+
 #: Timing-core implementations selectable via ``SystemConfig.engine``.
-#: ``"fast"`` is the flattened-queue/batched-warp core; ``"reference"``
+#: ``"fast"`` is the flattened-queue core; ``"reference"``
 #: is the original straight-line implementation retained as the oracle
 #: for the differential harness (``repro.perfcore``).  Both must produce
 #: bit-identical results; the harness enforces it.
@@ -276,13 +296,6 @@ class SystemConfig:
     #: :meth:`cache_key` so reference and fast runs of the same scenario
     #: never dedupe to one cached result.
     engine: str = "fast"
-    #: Batched warp stepping (``engine="fast"`` only): the SM replays
-    #: runs of its own issue events inline in one event pop instead of a
-    #: schedule/pop round trip per warp step.  Bit-exact with the
-    #: unbatched fast core — the ``repro.perfcore`` harness diffs both
-    #: settings against the reference engine.  Ignored (and harmless)
-    #: under ``engine="reference"``.
-    batch_warps: bool = True
 
     def validate(self) -> "SystemConfig":
         self.gpu.validate()
@@ -292,10 +305,6 @@ class SystemConfig:
         if self.engine not in ENGINE_KINDS:
             raise ConfigError(
                 f"engine must be one of {ENGINE_KINDS}, got {self.engine!r}"
-            )
-        if not isinstance(self.batch_warps, bool):
-            raise ConfigError(
-                f"batch_warps must be a bool, got {self.batch_warps!r}"
             )
         return self
 
@@ -326,21 +335,27 @@ class SystemConfig:
 
     @staticmethod
     def from_dict(data: Dict[str, Any]) -> "SystemConfig":
-        """Rebuild a validated config from :meth:`to_dict` output."""
-        memory = dict(data["memory"])
-        memory["placement"] = PMPlacement(memory["placement"])
-        sbrp = dict(data["sbrp"])
-        sbrp["drain_policy"] = DrainPolicy(sbrp["drain_policy"])
-        resilience = ResilienceConfig(**data.get("resilience", {}))
+        """Rebuild a validated config from :meth:`to_dict` output.
+
+        A missing key or an unknown sub-config field raises
+        :class:`ConfigError` naming it.  Top-level keys this method does
+        not read are ignored, so documents that still carry a removed
+        knob keep loading.
+        """
+        memory = dict(_require(data, "memory"))
+        memory["placement"] = PMPlacement(_require(data, "memory.placement"))
+        sbrp = dict(_require(data, "sbrp"))
+        sbrp["drain_policy"] = DrainPolicy(_require(data, "sbrp.drain_policy"))
         return SystemConfig(
-            model=ModelName(data["model"]),
-            gpu=GPUConfig(**data["gpu"]),
-            memory=MemoryConfig(**memory),
-            sbrp=SBRPConfig(**sbrp),
+            model=ModelName(_require(data, "model")),
+            gpu=_build(GPUConfig, "gpu", _require(data, "gpu")),
+            memory=_build(MemoryConfig, "memory", memory),
+            sbrp=_build(SBRPConfig, "sbrp", sbrp),
             seed=data.get("seed", 0),
-            resilience=resilience,
+            resilience=_build(
+                ResilienceConfig, "resilience", data.get("resilience", {})
+            ),
             engine=data.get("engine", "fast"),
-            batch_warps=data.get("batch_warps", True),
         ).validate()
 
     def cache_key(self) -> str:

@@ -1,410 +1,9 @@
-"""Batched warp stepping: cohort issue events for the fast core.
+"""Empty placeholder for the removed batched warp-stepping core.
 
-The fast core (:mod:`repro.gpu.fastcore`) pays one full engine round
-trip — ``schedule`` (seq, push) then pop (front compare, budget check,
-accounting, dispatch) — per warp step, even when an SM issues an
-unbroken run of its own events.  ``BatchSM`` turns such a run into one
-*cohort*: a single popped issue event whose handler keeps stepping the
-SM's warps in a loop, replaying the member events the per-warp core
-would have scheduled without materializing them on the queue.
-
-Equivalence is the hard constraint, and it is structural, not
-statistical:
-
-* An iteration is only inlined when the SM can *prove* its would-be
-  next issue event is the global minimum of the event queue: no stop
-  flag, no bounded-run ``until`` predicate, FIFO empty, and the event's
-  time strictly below the heap front.  Schedule order then guarantees
-  the reference engine would pop exactly that event next — with the
-  exact ``(time, seq)`` the inline step consumes.  Everything else —
-  cross-SM interleavings, same-cycle FIFO ties, drain pumps — falls out
-  to a physically scheduled event with an untouched tie-break.
-* Each inlined step replays the engine loop's per-event observables in
-  reference order: seq consumption, the cycle-budget check (including
-  the pending-event count in the error message), ``now`` advancement,
-  ``events_processed``, the livelock watchdog, and the metered
-  queue-depth sample (whose depth equals the reference's, because the
-  reference would have popped the SM's own event before sampling).
-
-The warp state the hot scans touch lives in struct-of-arrays mirrors
-(``_soa_ready`` / ``_soa_rt`` parallel to the slot-ordered warp list):
-the round-robin pick and the trailing-kick min scan index plain lists
-instead of chasing per-warp attributes.  Every state transition goes
-through an SM method, and ``BatchSM`` overrides each mutator to keep
-the mirrors exact; consecutive ``Compute`` ops take a fully inlined
-stride (no dispatch, no completion call) inside the cohort loop.
-
-``SystemConfig.batch_warps`` selects this core (with ``engine="fast"``);
-the differential harness (``repro.perfcore``) diffs batched and
-unbatched against the reference engine over the whole grid, and the
-Hypothesis property in ``tests/perfcore/test_batchstep.py`` drives
-random ready-time collisions through both fast cores asserting identical
-issue order.
+The batched core stepped many warps per popped issue event.  It gave no
+measured speed gain over the plain fast core (:mod:`repro.gpu.fastcore`)
+and crashed on multi-block programs, so it was deleted.  This module
+still exists only because the benchmark's layer tracer
+(``perfbench/layers.py``) imports it by name; once that import goes,
+this file goes too.
 """
-
-from __future__ import annotations
-
-import heapq
-from heapq import heappush
-from typing import Callable, List, Optional
-
-from repro.common.errors import SimulationError
-from repro.gpu.engine import _QUEUE_SAMPLE_MASK, FastEngine
-from repro.gpu.fastcore import _ALIGN_MASK, _DISPATCH, FastSM
-from repro.gpu.ops import Compute, Op, PAcq
-from repro.gpu.sm import _OP_CATEGORY, SM
-from repro.gpu.warp import Warp, WarpState
-
-_READY = WarpState.READY
-
-
-class BatchEngine(FastEngine):
-    """FastEngine whose accounting survives run-ahead handlers.
-
-    ``FastEngine.run`` caches ``events_processed``/``_idle_events`` in
-    locals for speed; a cohort handler that replays events inline must
-    advance those counters mid-handler, so this run loop keeps them on
-    the instance.  It also stashes the ``until`` predicate in
-    ``_until`` while a bounded run is active — the cohort loop refuses
-    to run ahead across a point where the predicate would have been
-    re-checked.
-    """
-
-    def run(self, until: Optional[Callable[[], bool]] = None) -> float:
-        metrics = self.metrics
-        metered = metrics.enabled
-        watchdog = self.watchdog_events
-        max_cycles = self.max_cycles
-        queue = self._queue
-        fifo = self._fifo
-        self._stop = False
-        self._until = until
-        try:
-            while queue or fifo:
-                if self._stop or (until is not None and until()):
-                    break
-                # Lexicographic min of the two sorted fronts == heap order.
-                if not queue or (fifo and fifo[0] < queue[0]):
-                    time, _seq, fn = fifo.popleft()
-                else:
-                    time, _seq, fn = heapq.heappop(queue)
-                if time > max_cycles:
-                    raise SimulationError(
-                        f"cycle budget exceeded at t={time:.0f} "
-                        f"(budget {max_cycles:.0f}); likely a livelock "
-                        f"({len(queue) + len(fifo)} events still queued)"
-                    )
-                if time > self.now:
-                    self.now = time
-                self.events_processed += 1
-                if watchdog:
-                    idle = self._idle_events + 1
-                    self._idle_events = idle
-                    if idle > watchdog:
-                        raise self._livelock()
-                if metered and not self.events_processed & _QUEUE_SAMPLE_MASK:
-                    metrics.observe(
-                        "engine.queue_depth", float(len(queue) + len(fifo))
-                    )
-                fn(self.now)
-        finally:
-            self._until = None
-        if self.stats is not None:
-            self.stats.set(
-                "engine.events_processed", float(self.events_processed)
-            )
-            self.stats.set("engine.now", self.now)
-        if metered:
-            metrics.gauge(
-                "engine.events_processed", float(self.events_processed)
-            )
-            metrics.gauge("engine.now", self.now)
-        return self.now
-
-
-class BatchSM(FastSM):
-    """FastSM with the cohort issue loop and SoA warp-state mirrors."""
-
-    def __init__(self, sm_id: int, gpu) -> None:
-        super().__init__(sm_id, gpu)
-        #: Parallel to ``_warps_cache`` (slot order): warp readiness and
-        #: ready times as plain lists for the pick/kick scans.
-        self._soa_ready: List[bool] = []
-        self._soa_rt: List[float] = []
-
-    # ------------------------------------------------------------------
-    # SoA mirror maintenance: rebuilt with the slot cache, updated by
-    # every state-transition method.  Mutators skip the mirror while the
-    # cache is invalid (``sched_idx`` may be stale); the next rebuild
-    # recomputes both arrays from the warps themselves.
-    # ------------------------------------------------------------------
-    def _warp_list(self) -> List[Warp]:
-        if self._slots_cache is None:
-            warps = self.warps
-            self._slots_cache = slots = sorted(warps)
-            self._warps_cache = wl = [warps[slot] for slot in slots]
-            for i, w in enumerate(wl):
-                w.sched_idx = i
-            self._soa_ready = [w.state is _READY for w in wl]
-            self._soa_rt = [w.ready_time for w in wl]
-        return self._warps_cache
-
-    def _complete(
-        self, warp: Warp, now: float, at: float, send: object = None
-    ) -> None:
-        warp.retry_op = None
-        warp.state = _READY
-        n1 = now + 1
-        rt = at if at > n1 else n1
-        warp.ready_time = rt
-        if send is not None:
-            warp.send_value = send
-        if self._slots_cache is not None:
-            i = warp.sched_idx
-            self._soa_ready[i] = True
-            self._soa_rt[i] = rt
-        if self.tracer.enabled:
-            self.tracer.warp_phase(self.warp_track(warp), "sched", rt)
-
-    def wake_warp(self, warp: Warp, at: float, send: object = None) -> None:
-        warp.state = _READY
-        warp.ready_time = at
-        if send is not None:
-            warp.send_value = send
-        if self._slots_cache is not None:
-            i = warp.sched_idx
-            self._soa_ready[i] = True
-            self._soa_rt[i] = at
-        if self.tracer.enabled:
-            self.tracer.warp_phase(self.warp_track(warp), "sched", at)
-        self.kick(self.engine.now)
-
-    def _block(self, warp: Warp, op: Op) -> None:
-        warp.state = WarpState.BLOCKED
-        warp.retry_op = op
-        if self._slots_cache is not None:
-            self._soa_ready[warp.sched_idx] = False
-
-    def _warp_done(self, warp: Warp, now: float) -> None:
-        if self._slots_cache is not None:
-            self._soa_ready[warp.sched_idx] = False
-        super()._warp_done(warp, now)
-
-    def _process_barrier(self, warp: Warp, now: float) -> None:
-        waiting = self._barriers.setdefault(warp.block_key, [])
-        waiting.append(warp)
-        expected = sum(
-            1
-            for w in self.warps.values()
-            if w.block_key == warp.block_key and w.state is not WarpState.DONE
-        )
-        mirrored = self._slots_cache is not None
-        if len(waiting) < expected:
-            warp.state = WarpState.AT_BARRIER
-            if mirrored:
-                self._soa_ready[warp.sched_idx] = False
-            return
-        del self._barriers[warp.block_key]
-        rt = now + 1
-        for w in waiting:
-            w.state = _READY
-            w.ready_time = rt
-            w.retry_op = None
-            if mirrored:
-                i = w.sched_idx
-                self._soa_ready[i] = True
-                self._soa_rt[i] = rt
-            if self.tracer.enabled:
-                self.tracer.warp_phase(self.warp_track(w), "sched", rt)
-        self.kick(now)
-
-    def _process_pacq(self, warp: Warp, op: PAcq, now: float) -> None:
-        addr = op.addr
-        if addr & _ALIGN_MASK:
-            self.backing.read(addr)  # raises: misaligned flag address
-        value = self.backing.visible.get(addr, 0)
-        if value == 0:
-            # Failed spin attempt (see FastSM._process_pacq).
-            self._counters["sm.pacq_spins"] += 1.0
-            warp.retry_op = None
-            warp.state = _READY
-            rt = now + self._spin_delta
-            warp.ready_time = rt
-            warp.send_value = 0
-            if self._slots_cache is not None:
-                i = warp.sched_idx
-                self._soa_ready[i] = True
-                self._soa_rt[i] = rt
-            if self.tracer.enabled:
-                self.tracer.warp_phase(self.warp_track(warp), "sched", rt)
-            return
-        outcome = self.model.pacq(self, warp, addr, op.scope, value, now)
-        if not outcome.done:
-            self._block(warp, op)
-            return
-        self._complete(warp, now, outcome.at, value)
-
-    # ------------------------------------------------------------------
-    # the cohort loop
-    # ------------------------------------------------------------------
-    def _process(self, warp: Warp, op: Op, now: float) -> None:
-        handler = _BATCH_DISPATCH.get(op.__class__)
-        if handler is None:
-            SM._process(self, warp, op, now)  # unknown-op error path
-            return
-        handler(self, warp, op, now)
-
-    def _on_issue(self, now: float) -> None:
-        """One popped issue event expands into a cohort of warp steps.
-
-        Every iteration replays exactly one reference issue event of
-        this SM: the ready pick over the SoA mirrors, execution and
-        dispatch, and the trailing-kick scan.  The next member is
-        consumed inline only when it is provably the engine's next pop
-        (see the module docstring); otherwise it is materialized with
-        the seq it would always have had, and the loop exits.
-        """
-        engine = self.engine
-        queue = engine._queue
-        fifo = engine._fifo
-        max_cycles = engine.max_cycles
-        watchdog = engine.watchdog_events
-        metrics = engine.metrics
-        metered = metrics.enabled
-        quantum = self._issue_quantum
-        counters = self._counters
-        tracer = self.tracer
-        traced = tracer.enabled
-        dispatch = _BATCH_DISPATCH
-        issue_cb = self._issue_cb
-        self._issue_pending = False
-        if self._slots_cache is None:
-            self._warp_list()
-        wl = self._warps_cache
-        ready = self._soa_ready
-        rts = self._soa_rt
-        while True:
-            # ---- one logical issue event at time `now` ----
-            if now >= self._next_issue_free:
-                n = len(wl)
-                warp = None
-                if n:
-                    rr = self._rr
-                    for i in range(n):
-                        j = rr + i
-                        if j >= n:
-                            j -= n
-                        if ready[j] and rts[j] <= now:
-                            self._rr = j + 1 if j + 1 < n else 0
-                            warp = wl[j]
-                            break
-                if warp is not None:
-                    self._next_issue_free = now + quantum
-                    op = warp.retry_op
-                    if op is None:
-                        try:
-                            op = warp.gen.send(warp.send_value)
-                        except StopIteration:
-                            op = None
-                        else:
-                            warp.send_value = None
-                    if op is None:
-                        self._warp_done(warp, now)
-                    else:
-                        counters["sm.instructions"] += 1.0
-                        cls = op.__class__
-                        if traced:
-                            tracer.warp_phase(
-                                self.warp_track(warp),
-                                _OP_CATEGORY.get(cls, "sched"),
-                                now,
-                            )
-                        if cls is Compute:
-                            # Compute stride: the inlined _complete of
-                            # the fast core, SoA mirror included.
-                            warp.retry_op = None
-                            warp.state = _READY
-                            at = now + op.cycles
-                            n1 = now + 1
-                            rt = at if at > n1 else n1
-                            warp.ready_time = rt
-                            rts[warp.sched_idx] = rt
-                            if traced:
-                                tracer.warp_phase(
-                                    self.warp_track(warp), "sched", rt
-                                )
-                        else:
-                            handler = dispatch.get(cls)
-                            if handler is None:
-                                SM._process(self, warp, op, now)
-                            else:
-                                handler(self, warp, op, now)
-                    if self._issue_pending:
-                        # A nested kick (wake, barrier release, block
-                        # refill) already scheduled the next event.
-                        return
-                    if self._slots_cache is None:
-                        # Execution dispatched or retired a block: the
-                        # slot cache was invalidated, mirrors rebuilt.
-                        self._warp_list()
-                    if self._warps_cache is not wl:
-                        wl = self._warps_cache
-                        ready = self._soa_ready
-                        rts = self._soa_rt
-            # ---- trailing kick: earliest ready warp decides `when` ----
-            best = None
-            for i in range(len(ready)):
-                if ready[i]:
-                    rt = rts[i]
-                    if best is None or rt < best:
-                        best = rt
-            if best is None:
-                return
-            when = best if best > now else now
-            nif = self._next_issue_free
-            if nif > when:
-                when = nif
-            # ---- inline-or-materialize decision ----
-            if (
-                engine._stop
-                or engine._until is not None
-                or fifo
-                or (queue and when >= queue[0][0])
-            ):
-                self._issue_pending = True
-                engine._seq += 1
-                if when <= now:
-                    fifo.append((now, engine._seq, issue_cb))
-                else:
-                    heappush(queue, (when, engine._seq, issue_cb))
-                return
-            # Inline: consume the event this SM would have scheduled,
-            # replaying the engine loop's per-event accounting exactly.
-            engine._seq += 1
-            if when > max_cycles:
-                raise SimulationError(
-                    f"cycle budget exceeded at t={when:.0f} "
-                    f"(budget {max_cycles:.0f}); likely a livelock "
-                    f"({len(queue) + len(fifo)} events still queued)"
-                )
-            if when > now:
-                now = when
-                engine.now = when
-            engine.events_processed += 1
-            if watchdog:
-                idle = engine._idle_events + 1
-                engine._idle_events = idle
-                if idle > watchdog:
-                    raise engine._livelock()
-            if metered and not engine.events_processed & _QUEUE_SAMPLE_MASK:
-                metrics.observe(
-                    "engine.queue_depth", float(len(queue) + len(fifo))
-                )
-
-
-#: Type-keyed dispatch of the batched core: the fast core's table with
-#: the direct-state-write handlers swapped for the SoA-aware overrides.
-#: (Handlers that mutate warp state via ``self._complete``/``_block``
-#: pick up the overrides through ``self`` and are shared unchanged.)
-_BATCH_DISPATCH = dict(_DISPATCH)
-_BATCH_DISPATCH[PAcq] = BatchSM._process_pacq

@@ -74,14 +74,8 @@ class GPU:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
         fast = config.engine == "fast"
-        batched = fast and config.batch_warps
         self._fast_engine = fast
-        if batched:
-            from repro.gpu.batchstep import BatchEngine  # cycle guard
-
-            engine_cls = BatchEngine
-        else:
-            engine_cls = FastEngine if fast else Engine
+        engine_cls = FastEngine if fast else Engine
         self.engine = engine_cls(
             max_cycles=max_cycles,
             stats=self.stats,
@@ -99,9 +93,7 @@ class GPU:
             self.model = model_factory(config, self.stats)
         else:
             self.model = build_model(config, self.stats)
-        if batched:
-            from repro.gpu.batchstep import BatchSM as sm_cls  # cycle guard
-        elif fast:
+        if fast:
             from repro.gpu.fastcore import FastSM as sm_cls  # cycle guard
         else:
             from repro.gpu.sm import SM as sm_cls  # local import: cycle guard

@@ -70,11 +70,6 @@ class Engine:
         #: set this mid-event to break the loop at the same point the
         #: closure would have.  The base engine ignores it.
         self._stop = False
-        #: The active ``until`` closure of a bounded run, stashed so
-        #: run-ahead components (:mod:`repro.gpu.batchstep`) can tell a
-        #: free run from one whose loop must re-check a predicate
-        #: between events.  ``None`` outside bounded runs.
-        self._until: Optional[Callable[[], bool]] = None
 
     def schedule(self, time: float, fn: EventFn) -> None:
         """Run *fn(now)* at simulated time *time* (clamped to now)."""

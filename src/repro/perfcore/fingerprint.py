@@ -24,22 +24,8 @@ from typing import Any, Dict, List, Mapping
 from repro.common.config import ModelName, PMPlacement, small_system
 
 #: Engines the harness pairs up, in report order.  ``reference`` is the
-#: oracle; every later name is diffed against it.  ``batch`` is not a
-#: ``SystemConfig.engine`` value — it is the fast engine with batched
-#: warp stepping on (see :func:`engine_config`).
-ENGINES = ("reference", "fast", "batch")
-
-
-def engine_config(config: Any, engine: str) -> Any:
-    """Resolve a harness engine name onto *config*.
-
-    The harness axis is finer than ``SystemConfig.engine``: ``batch``
-    selects the fast engine with ``batch_warps`` on, while ``fast``
-    pins batching *off* so the two fast rows exercise distinct cores.
-    """
-    if engine == "batch":
-        return replace(config, engine="fast", batch_warps=True)
-    return replace(config, engine=engine, batch_warps=False)
+#: oracle; ``fast`` is diffed against it.
+ENGINES = ("reference", "fast")
 
 
 def canonical_json(payload: Any) -> str:
@@ -75,8 +61,8 @@ def sim_fingerprint(
     from repro.apps import build_app
     from repro.system import GPUSystem
 
-    config = engine_config(
-        small_system(ModelName(model), PMPlacement.FAR), engine
+    config = replace(
+        small_system(ModelName(model), PMPlacement.FAR), engine=engine
     )
     system = GPUSystem(config, metrics=True)
     app_obj = build_app(app, **dict(params))
@@ -126,7 +112,7 @@ def litmus_fingerprint(
     per_variant: List[Dict[str, Any]] = []
     for variant_json in variants_json:
         variant = Variant.from_json(variant_json)
-        config = engine_config(variant.configure(program, name), engine)
+        config = replace(variant.configure(program, name), engine=engine)
         try:
             obs = simulate_program(
                 program,
@@ -184,8 +170,8 @@ def fault_fingerprint(
     """
     from repro.faults.runner import run_fault_scenario
 
-    config = engine_config(
-        small_system(ModelName(model), PMPlacement.FAR), engine
+    config = replace(
+        small_system(ModelName(model), PMPlacement.FAR), engine=engine
     )
     try:
         result = run_fault_scenario(app, config, dict(params), dict(fault))
@@ -227,7 +213,7 @@ def serve_fingerprint(
     the worst-case recovery measurement."""
     from repro.serve.runner import run_serve_scenario
 
-    config = engine_config(small_system(ModelName(model)), engine)
+    config = replace(small_system(ModelName(model)), engine=engine)
     try:
         result = run_serve_scenario("serve_kvs", config, dict(params))
     except Exception as err:  # noqa: BLE001 - wedges must match too
@@ -249,7 +235,8 @@ def soak_fingerprint(
     from repro.common.config import ResilienceConfig
 
     config = replace(
-        engine_config(small_system(ModelName(model)), engine),
+        small_system(ModelName(model)),
+        engine=engine,
         resilience=ResilienceConfig(enabled=True),
     )
     try:

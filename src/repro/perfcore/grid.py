@@ -7,9 +7,9 @@ verdict.  The grid covers the three axes the tentpole promises:
 
 * **sim** — 3 persistency models x {gpkvs, reduction, scan}, the same
   shrunk cases the golden-trace tests pin;
-* **litmus** — the full conformance corpus under every model, swept
-  through the smoke variant set (the bounded perturbations that make
-  ordering bugs visible);
+* **litmus** — the full conformance corpus plus one fuzzed multi-block
+  program under every model, swept through the smoke variant set (the
+  bounded perturbations that make ordering bugs visible);
 * **fault** — fault-plan cells (power cut under every model, plus a
   torn-persist cell) whose crash/recover/classify sweep exercises the
   crash-image path end to end;
@@ -18,11 +18,10 @@ verdict.  The grid covers the three axes the tentpole promises:
 * **soak** — the chaos-soak chain (resilient serve stream through a
   chronic fault timeline with crash→recover legs) under SBRP.
 
-Every cell runs under the full engine axis — reference, fast, and the
-batched fast core — and each non-reference engine is diffed against
-the reference fingerprint.
+Every cell runs under both engines, and the fast fingerprint is diffed
+against the reference one.
 
-``--smoke`` keeps the litmus corpus (single model), one fault cell,
+``--smoke`` keeps the litmus cells (single model), one fault cell,
 one sim cell and one serve cell — the CI ``perfcore-smoke`` job's
 grid.
 """
@@ -104,8 +103,12 @@ def _sim_cells(models) -> List[DiffCell]:
 def _litmus_cells(models) -> List[DiffCell]:
     from repro.check.corpus import corpus_programs
     from repro.check.enumerator import SMOKE_VARIANTS
+    from repro.check.fuzzer import generate_program
 
     variants = [variant.to_json() for variant in SMOKE_VARIANTS]
+    # fuzz-1-0 puts its threads in blocks 0, 0 and 1: the corpus pins no
+    # program of that multi-block shape.
+    programs = corpus_programs() + [generate_program(1, 0)]
     return [
         DiffCell(
             name=f"litmus.{model.value}.{program.name}",
@@ -118,7 +121,7 @@ def _litmus_cells(models) -> List[DiffCell]:
             },
         )
         for model in models
-        for program in corpus_programs()
+        for program in programs
     ]
 
 
@@ -215,8 +218,8 @@ def run_cell(cell_json: Mapping[str, Any]) -> Dict[str, Any]:
     """Run one cell under every engine of the axis; top-level so worker
     processes can execute it.  The report is a pure function of the
     payload: the reference fingerprint is the oracle, and every other
-    engine (the fast core, the batched fast core) is diffed against it
-    with mismatch paths prefixed by the diverging engine's name."""
+    engine is diffed against it with mismatch paths prefixed by the
+    diverging engine's name."""
     kind = cell_json["kind"]
     payload = cell_json["payload"]
     prints = {

@@ -53,6 +53,28 @@ class TestConfigSerialization:
         rebuilt = SystemConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert rebuilt == config
 
+    def test_unread_top_level_keys_are_ignored(self, config):
+        # Documents written before a knob was removed still load.
+        doc = dict(config.to_dict(), retired_knob=True)
+        assert SystemConfig.from_dict(doc) == config
+
+    @pytest.mark.parametrize(
+        "mutate,match",
+        [
+            (lambda doc: doc.clear(), "'memory'"),
+            (lambda doc: doc.pop("model"), "'model'"),
+            (lambda doc: doc["memory"].pop("placement"), "'memory.placement'"),
+            (lambda doc: doc["gpu"].update(warp9=1), r"gpu.*\['warp9'\]"),
+            (lambda doc: doc["resilience"].update(x=1), r"resilience.*\['x'\]"),
+        ],
+        ids=["empty", "no-model", "no-placement", "gpu-field", "resilience-field"],
+    )
+    def test_malformed_document_raises_config_error(self, config, mutate, match):
+        doc = config.to_dict()
+        mutate(doc)
+        with pytest.raises(ConfigError, match=match):
+            SystemConfig.from_dict(doc)
+
 
 def _altered(value):
     """A different value of the same general shape as *value*."""

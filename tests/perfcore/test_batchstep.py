@@ -1,18 +1,20 @@
-"""Satellite 3: cohort expansion replays per-warp issue order exactly.
+"""The fast core replays the reference engine's warp issue order exactly.
 
-The batched fast core (:mod:`repro.gpu.batchstep`) pops one *cohort*
-event and steps many warps inside the handler.  Its equivalence claim
-is structural: every inlined step consumes exactly the ``(time, seq)``
-the per-warp core would have scheduled, so the observable issue order —
-including same-cycle round-robin ties and FIFO ties between warps whose
-ready times collide — cannot move.
+This file once also covered a batched warp-stepping core; that core is
+gone, and the tests keep their names while comparing reference vs fast.
+
+The fast core (:mod:`repro.gpu.fastcore`) keeps a FIFO for due-now
+events beside the heap and a cached slot-ordered warp list for the
+round-robin pick.  Its equivalence claim is that neither can move the
+observable issue order — including same-cycle round-robin ties and FIFO
+ties between warps whose ready times collide.
 
 These tests drive randomly generated per-warp op programs (computes
 with colliding latencies, PM stores, PM loads, optional block barriers)
-through the reference engine, the unbatched fast core and the batched
-fast core, logging every generator resume from *inside* the kernel.
-The three logs must be identical element-for-element, and the runs must
-agree on final time and total event count.
+through the reference engine and the fast core, logging every generator
+resume from *inside* the kernel.  The two logs must be identical
+element-for-element, and the runs must agree on final time and total
+event count.
 """
 
 from __future__ import annotations
@@ -38,13 +40,6 @@ OPS = st.sampled_from(
 
 PROGRAM = st.lists(OPS, min_size=1, max_size=6)
 
-#: The three rows of the engine axis, as (engine, batch_warps) pairs.
-ENGINE_SETUPS = (
-    ("reference", False),
-    ("fast", False),
-    ("fast", True),
-)
-
 
 @st.composite
 def workloads(draw):
@@ -62,17 +57,14 @@ def workloads(draw):
 
 def run_workload(
     engine: str,
-    batch: bool,
     n_blocks: int,
     programs: Dict[Tuple[int, int], List[Tuple[str, int]]],
     barrier_blocks,
 ):
     """One run; returns (issue log, final time, events processed)."""
-    config = replace(
-        small_system(ModelName.SBRP), engine=engine, batch_warps=batch
-    )
+    config = replace(small_system(ModelName.SBRP), engine=engine)
     system = GPUSystem(config)
-    data = system.pm_create("batchprop.data", 4 * n_blocks * 128)
+    data = system.pm_create("issueprop.data", 4 * n_blocks * 128)
     log: List[Tuple] = []
 
     def kernel(w):
@@ -89,7 +81,7 @@ def run_workload(
             log.append((key, "barrier", system.now))
             yield w.sync()
 
-    system.launch(kernel, n_blocks, name="batchprop")
+    system.launch(kernel, n_blocks, name="issueprop")
     system.sync()
     return log, system.now, int(system.stat("engine.events_processed"))
 
@@ -98,26 +90,18 @@ def run_workload(
 @given(workloads())
 def test_batched_issue_order_matches_reference(workload):
     n_blocks, programs, barrier_blocks = workload
-    results = {
-        (engine, batch): run_workload(
-            engine, batch, n_blocks, programs, barrier_blocks
-        )
-        for engine, batch in ENGINE_SETUPS
-    }
-    ref_log, ref_now, ref_events = results[("reference", False)]
-    for setup in ENGINE_SETUPS[1:]:
-        log, now, events = results[setup]
-        assert log == ref_log, f"{setup} diverged from reference issue order"
-        assert now == ref_now, setup
-        assert events == ref_events, setup
+    ref_log, ref_now, ref_events = run_workload(
+        "reference", n_blocks, programs, barrier_blocks
+    )
+    log, now, events = run_workload("fast", n_blocks, programs, barrier_blocks)
+    assert log == ref_log, "fast core diverged from reference issue order"
+    assert now == ref_now
+    assert events == ref_events
 
 
 def test_single_warp_cohort_inlines_whole_program():
-    """A lone ready warp is the pure run-ahead case: the batched core
-    must still count every logical issue event it inlined."""
+    """One block whose warps all run the same short program: every warp
+    is ready on the same cycles, so each step is a round-robin tie."""
     programs = {(0, w): [("c", 1), ("c", 1), ("st", 3)] for w in range(WPB)}
-    outs = [
-        run_workload(engine, batch, 1, programs, set())
-        for engine, batch in ENGINE_SETUPS
-    ]
-    assert outs[0] == outs[1] == outs[2]
+    ref = run_workload("reference", 1, programs, set())
+    assert run_workload("fast", 1, programs, set()) == ref

@@ -46,6 +46,7 @@ def test_smoke_grid_is_subset_of_full():
     [
         "sim.epoch.reduction",
         "litmus.sbrp.device_release_pm_flag",
+        "litmus.sbrp.fuzz-1-0",
         "fault.sbrp.gpkvs.powercut",
         "serve.sbrp.kvs",
         "soak.sbrp.kvs",
@@ -54,7 +55,7 @@ def test_smoke_grid_is_subset_of_full():
 def test_cell_matches_across_engines(name: str):
     report = run_cell(GRID[name].to_json())
     assert report["match"], report["mismatches"]
-    assert report["reference"] == report["fast"] == report["batch"]
+    assert report["reference"] == report["fast"]
     assert "error" not in report["reference"]
 
 
@@ -70,20 +71,20 @@ def test_diff_paths_reports_divergence():
 
 def test_build_report_drops_matching_fingerprints_only():
     ok = {"name": "a", "kind": "sim", "match": True, "mismatches": [],
-          "reference": {"c": 1}, "fast": {"c": 1}, "batch": {"c": 1}}
+          "reference": {"c": 1}, "fast": {"c": 1}}
     bad = {"name": "b", "kind": "sim", "match": False,
-           "mismatches": ["batch:c"],
-           "reference": {"c": 1}, "fast": {"c": 1}, "batch": {"c": 2}}
+           "mismatches": ["fast:c"],
+           "reference": {"c": 1}, "fast": {"c": 2}}
     doc = build_report([ok, bad], "full", full=False)
     assert "reference" not in doc["cells"]["a"]
-    assert "batch" not in doc["cells"]["a"]
+    assert "fast" not in doc["cells"]["a"]
     assert doc["cells"]["b"]["reference"] == {"c": 1}
-    assert doc["cells"]["b"]["batch"] == {"c": 2}
+    assert doc["cells"]["b"]["fast"] == {"c": 2}
     assert doc["mismatched"] == ["b"]
 
 
 def test_run_cell_prefixes_mismatch_paths_with_engine(monkeypatch):
-    # Seed a divergence in the batched engine only; the report must say
+    # Seed a divergence in the fast engine only; the report must say
     # *which* engine diverged, not just where.
     import repro.perfcore.grid as grid_mod
 
@@ -91,14 +92,14 @@ def test_run_cell_prefixes_mismatch_paths_with_engine(monkeypatch):
 
     def skewed(kind, payload, engine):
         fp = real(kind, payload, engine)
-        if engine == "batch":
+        if engine == "fast":
             fp = dict(fp, cycles=fp["cycles"] + 1)
         return fp
 
     monkeypatch.setattr(grid_mod, "fingerprint", skewed)
     report = grid_mod.run_cell(GRID["sim.sbrp.reduction"].to_json())
     assert not report["match"]
-    assert report["mismatches"] == ["batch:cycles"]
+    assert report["mismatches"] == ["fast:cycles"]
 
 
 def test_cli_byte_identical_across_worker_counts(tmp_path):

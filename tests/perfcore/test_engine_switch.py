@@ -15,15 +15,13 @@ import pytest
 
 from repro.common.config import ModelName, small_system
 from repro.common.errors import ConfigError
-from repro.gpu.batchstep import BatchEngine
 from repro.gpu.engine import Engine, FastEngine
 from repro.system import GPUSystem
 
 
-def test_default_engine_is_fast_batched():
+def test_default_engine_is_fast():
     config = small_system(ModelName.SBRP)
     assert config.engine == "fast"
-    assert config.batch_warps is True
 
 
 def test_invalid_engine_rejected():
@@ -33,51 +31,31 @@ def test_invalid_engine_rejected():
 
 
 @pytest.mark.parametrize(
-    "engine,batch,engine_cls,sm_cls_name",
+    "engine,engine_cls,sm_cls_name",
     [
-        ("reference", False, Engine, "SM"),
-        ("fast", False, FastEngine, "FastSM"),
-        ("fast", True, BatchEngine, "BatchSM"),
+        ("reference", Engine, "SM"),
+        ("fast", FastEngine, "FastSM"),
     ],
 )
-def test_device_honours_engine_selection(engine, batch, engine_cls, sm_cls_name):
-    config = replace(
-        small_system(ModelName.EPOCH), engine=engine, batch_warps=batch
-    )
+def test_device_honours_engine_selection(engine, engine_cls, sm_cls_name):
+    config = replace(small_system(ModelName.EPOCH), engine=engine)
     system = GPUSystem(config)
     assert type(system.gpu.engine) is engine_cls
     assert all(type(sm).__name__ == sm_cls_name for sm in system.gpu.sms)
 
 
-def test_batch_warps_ignored_on_reference_engine():
-    # batch_warps only modulates the fast core; the reference oracle
-    # stays the plain heap engine regardless.
-    config = replace(
-        small_system(ModelName.EPOCH), engine="reference", batch_warps=True
-    )
-    system = GPUSystem(config)
-    assert type(system.gpu.engine) is Engine
-
-
 def test_engine_round_trips_through_json():
-    config = replace(
-        small_system(ModelName.SBRP), engine="reference", batch_warps=False
-    )
+    config = replace(small_system(ModelName.SBRP), engine="reference")
     restored = config.from_dict(config.to_dict())
     assert restored.engine == "reference"
-    assert restored.batch_warps is False
-    # Legacy documents without the fields default to the batched fast core.
+    # Legacy documents without the field default to the fast core.
     legacy = config.to_dict()
     legacy.pop("engine")
-    legacy.pop("batch_warps")
     restored = config.from_dict(legacy)
     assert restored.engine == "fast"
-    assert restored.batch_warps is True
 
 
 def test_engine_participates_in_cache_key():
     fast = small_system(ModelName.SBRP)
     reference = replace(fast, engine="reference")
-    unbatched = replace(fast, batch_warps=False)
-    keys = {fast.cache_key(), reference.cache_key(), unbatched.cache_key()}
-    assert len(keys) == 3
+    assert fast.cache_key() != reference.cache_key()

@@ -3,10 +3,10 @@
 ``golden_traces.json`` snapshots the exact end-to-end behaviour of the
 pre-fastcore seed — cycle counts, engine event counts, every stats
 counter, and hashes of the crash image and metrics snapshot — for each
-persistency model on gpkvs/reduction/scan.  Every engine on the axis —
-reference, fast, and the batched fast core — must still reproduce those
-payloads bit-for-bit: any future engine change that shifts timing fails
-here with a field-level diff, not silently.
+persistency model on gpkvs/reduction/scan.  Both engines — reference
+and fast — must still reproduce those payloads bit-for-bit: any future
+engine change that shifts timing fails here with a field-level diff,
+not silently.
 
 """
 
@@ -32,7 +32,7 @@ PINNED_FIELDS = (
 )
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast", "batch"])
+@pytest.mark.parametrize("engine", ["reference", "fast"])
 @pytest.mark.parametrize("key", sorted(GOLDEN["cases"]))
 def test_golden_trace(key: str, engine: str):
     case = GOLDEN["cases"][key]
