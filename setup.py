@@ -17,5 +17,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "networkx"],
+    install_requires=["numpy"],
+    extras_require={
+        "test": ["pytest", "pytest-benchmark", "hypothesis", "networkx"]
+    },
 )

@@ -264,6 +264,39 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{name:20s} {blurb}")
         return 0
 
+    for flag, value, least in (
+        ("--programs", args.programs, 0),
+        ("--mutant-programs", args.mutant_programs, 0),
+        ("--batch-size", args.batch_size, 1),
+        ("--crash-points", args.crash_points, 1),
+        ("--workers", args.workers, 1),
+    ):
+        if value < least:
+            parser.error(f"{flag} must be at least {least}, got {value}")
+    try:
+        models = (
+            [ModelName(m) for m in args.models.split(",")]
+            if args.models
+            else list(STOCK_MODELS)
+        )
+    except ValueError:
+        parser.error(
+            f"--models: unknown model in {args.models!r}; have "
+            f"{','.join(m.value for m in STOCK_MODELS)}"
+        )
+    if args.mutants is None:
+        mutants = mutant_names()
+    elif args.mutants == "none":
+        mutants = []
+    else:
+        mutants = args.mutants.split(",")
+        unknown = sorted(set(mutants) - set(mutant_names()))
+        if unknown:
+            parser.error(
+                f"--mutants: unknown {unknown}; have "
+                f"{','.join(mutant_names())} or 'none'"
+            )
+
     programs = args.programs
     mutant_programs = args.mutant_programs
     variants = list(VARIANTS)
@@ -271,17 +304,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         programs = min(programs, 30)
         mutant_programs = min(mutant_programs, 10)
         variants = list(SMOKE_VARIANTS)
-    models = (
-        [ModelName(m) for m in args.models.split(",")]
-        if args.models
-        else list(STOCK_MODELS)
-    )
-    if args.mutants is None:
-        mutants = mutant_names()
-    elif args.mutants == "none":
-        mutants = []
-    else:
-        mutants = args.mutants.split(",")
 
     executor = Executor(workers=args.workers, cache=args.cache_dir)
     report = build_report(

@@ -28,12 +28,16 @@ configuration.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.config import ModelName
 from repro.common.errors import LitmusError
-from repro.formal.crash_states import allowed_crash_images, allowed_final_images
-from repro.formal.events import LitmusProgram, all_reads_from
+from repro.formal.crash_states import (
+    CrashSpace,
+    allowed_crash_images,
+    allowed_final_images,
+)
+from repro.formal.events import LitmusProgram, ReadsFrom, all_reads_from
 from repro.formal.relations import ExecutionWitness
 
 from repro.check.enumerator import Variant, observe
@@ -49,31 +53,88 @@ def normalize(image: Dict[str, int]) -> NormImage:
     return tuple(sorted((k, v) for k, v in image.items() if v != 0))
 
 
-def allowed_unconstrained(program: LitmusProgram) -> Set[NormImage]:
+class WitnessMemo:
+    """Per-program memo of every witness-level oracle query.
+
+    Each witness's :class:`CrashSpace` (pmo, executed set, order ideals)
+    is built once, and each normalized image set once per witness and
+    completed-dFence prefix.  Entries are keyed by the sorted reads-from
+    pairs; an infeasible witness (cyclic vmo/pmo) is remembered as its
+    :class:`LitmusError`, raised again on every later lookup.
+    """
+
+    def __init__(self, program: LitmusProgram) -> None:
+        self.program = program
+        self._memo: Dict[Tuple[Any, ...], Any] = {}
+
+    def _lookup(self, key: Tuple[Any, ...], build: Callable[[], Any]) -> Any:
+        value = self._memo.get(key)
+        if value is None:
+            try:
+                value = build()
+            except LitmusError as err:
+                value = err
+            self._memo[key] = value
+        if isinstance(value, LitmusError):
+            raise value.with_traceback(None)
+        return value
+
+    def space(self, reads_from: ReadsFrom) -> CrashSpace:
+        return self._lookup(
+            ("space", *sorted(reads_from.items())),
+            lambda: CrashSpace(ExecutionWitness(self.program, dict(reads_from))),
+        )
+
+    def crash_images(
+        self, reads_from: ReadsFrom, completed: Sequence[int] = ()
+    ) -> Set[NormImage]:
+        """Allowed crash images with the *completed* dFences honored."""
+        return self._lookup(
+            ("crash", tuple(completed), *sorted(reads_from.items())),
+            lambda: {
+                normalize(image)
+                for image in allowed_crash_images(
+                    self.space(reads_from), completed
+                )
+            },
+        )
+
+    def final_images(self, reads_from: ReadsFrom) -> Set[NormImage]:
+        """Allowed fully drained images."""
+        return self._lookup(
+            ("final", *sorted(reads_from.items())),
+            lambda: {
+                normalize(image)
+                for image in allowed_final_images(self.space(reads_from))
+            },
+        )
+
+
+def allowed_unconstrained(
+    program: LitmusProgram, memo: Optional[WitnessMemo] = None
+) -> Set[NormImage]:
     """Union over every feasible witness of the allowed crash images."""
+    if memo is None:
+        memo = WitnessMemo(program)
     allowed: Set[NormImage] = set()
     for reads_from in all_reads_from(program):
         try:
-            images = allowed_crash_images(ExecutionWitness(program, reads_from))
+            allowed.update(memo.crash_images(reads_from))
         except LitmusError:
             continue  # infeasible witness (cyclic vmo/pmo)
-        allowed.update(normalize(image) for image in images)
     return allowed
 
 
-def _observed_witness(
+def _witness_resolved(
     program: LitmusProgram, reads_from: Dict[int, Optional[int]]
-) -> Optional[ExecutionWitness]:
-    """The witness the run actually took, or None when any acquire's
+) -> bool:
+    """Whether the run's witness is known: False when any acquire's
     observed value mapped to no known release (foreign writes to flag
     locations — the fuzzer never generates these, but directed programs
     might)."""
-    acquires = program.acquires()
-    if len(reads_from) != len(acquires):
-        return None
-    if any(source is None for source in reads_from.values()):
-        return None
-    return ExecutionWitness(program, dict(reads_from))
+    return len(reads_from) == len(program.acquires()) and all(
+        source is not None for source in reads_from.values()
+    )
 
 
 def check_observation(
@@ -81,6 +142,7 @@ def check_observation(
     observation: Any,
     allowed: Set[NormImage],
     variant_name: str,
+    memo: Optional[WitnessMemo] = None,
 ) -> List[Dict[str, Any]]:
     """All three oracle checks against one simulator run."""
     violations: List[Dict[str, Any]] = []
@@ -95,20 +157,18 @@ def check_observation(
                     "image": dict(norm),
                 }
             )
-    witness = _observed_witness(program, observation.reads_from)
-    if witness is None:
+    reads_from = observation.reads_from
+    if not _witness_resolved(program, reads_from):
         return violations
+    if memo is None:
+        memo = WitnessMemo(program)
     try:
         completed: List[int] = []
         for eid, (time, image) in sorted(
             observation.dfence_images.items(), key=lambda kv: (kv[1][0], kv[0])
         ):
             completed.append(eid)
-            allowed_now = {
-                normalize(img)
-                for img in allowed_crash_images(witness, completed)
-            }
-            if normalize(image) not in allowed_now:
+            if normalize(image) not in memo.crash_images(reads_from, completed):
                 violations.append(
                     {
                         "type": "dfence",
@@ -117,8 +177,9 @@ def check_observation(
                         "image": dict(normalize(image)),
                     }
                 )
-        finals = {normalize(img) for img in allowed_final_images(witness)}
-        if normalize(observation.final_image) not in finals:
+        if normalize(observation.final_image) not in memo.final_images(
+            reads_from
+        ):
             violations.append(
                 {
                     "type": "final",
@@ -154,7 +215,8 @@ def check_program(
     wedge on an unmodified model is exactly what the harness is for.
     """
     model_factory = build_mutant(mutant) if mutant is not None else None
-    allowed = allowed_unconstrained(program)
+    memo = WitnessMemo(program)
+    allowed = allowed_unconstrained(program, memo)
     observed: Set[NormImage] = set()
     variant_reports: List[Dict[str, Any]] = []
     sim_cycles = 0.0
@@ -188,7 +250,7 @@ def check_program(
                 "variant": variant.name,
                 "end": obs.end,
                 "violations": check_observation(
-                    program, obs, allowed, variant.name
+                    program, obs, allowed, variant.name, memo
                 ),
             }
         )

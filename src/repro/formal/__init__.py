@@ -7,10 +7,15 @@ derivation rules (intra-thread via ``oFence``; inter-thread via scoped
 specification executable:
 
 * :mod:`~repro.formal.events` — event vocabulary and litmus programs,
-* :mod:`~repro.formal.relations` — builds po / vmo / pmo as explicit
-  relations (networkx digraphs) for a given execution witness,
+* :mod:`~repro.formal.relations` — builds po / vmo / pmo for a given
+  execution witness, each an :class:`~repro.formal.relations.Order`: a
+  transitively closed partial order stored as one predecessor and one
+  successor bitmask per event id,
 * :mod:`~repro.formal.crash_states` — enumerates every crash image the
-  model permits (downward-closed cuts of the pmo DAG),
+  model permits (order ideals of pmo, walked once in topological
+  order); a :class:`~repro.formal.crash_states.CrashSpace` holds one
+  witness's pmo, executed set and ideals so repeated queries (the
+  conformance oracle's per-witness memo) build them once,
 * :mod:`~repro.formal.litmus` — a litmus-test harness with a library of
   tests covering the paper's examples (message passing, scope
   mismatches, transitivity, dFence), and
@@ -20,17 +25,25 @@ specification executable:
 """
 
 from repro.formal.events import Event, EventKind, LitmusProgram, Thread
-from repro.formal.relations import ExecutionWitness, build_pmo, build_po, build_vmo
-from repro.formal.crash_states import allowed_crash_images
+from repro.formal.relations import (
+    ExecutionWitness,
+    Order,
+    build_pmo,
+    build_po,
+    build_vmo,
+)
+from repro.formal.crash_states import CrashSpace, allowed_crash_images
 from repro.formal.litmus import LITMUS_TESTS, LitmusTest, run_litmus
 
 __all__ = [
+    "CrashSpace",
     "Event",
     "EventKind",
     "ExecutionWitness",
     "LITMUS_TESTS",
     "LitmusProgram",
     "LitmusTest",
+    "Order",
     "Thread",
     "allowed_crash_images",
     "build_pmo",

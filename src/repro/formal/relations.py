@@ -1,8 +1,10 @@
 """Building po / vmo / pmo for an execution witness (Boxes 1 and 2).
 
 The model is *axiomatic*: given a litmus program and a synchronization
-witness (which release each acquire observed), the relations are built
-as explicit :class:`networkx.DiGraph` edges:
+witness (which release each acquire observed), each relation is built
+as an :class:`Order` — a strict partial order over event ids, stored
+transitively closed as one bitmask of predecessors and one of
+successors per event (bit *i* stands for event id *i*):
 
 * ``po`` — program order within each thread.
 * ``vmo`` — the fragment of volatile memory order the witness fixes:
@@ -14,17 +16,116 @@ as explicit :class:`networkx.DiGraph` edges:
     ordering fence too);
   - *inter-thread*: ``W po pRel(X,S) vmo pAcq(X,S) po W'  ⟹  W pmo W'``
     when S covers both threads.
+
+Litmus programs have a few dozen events at most, so an order query is a
+shift and a mask, and closing a relation is one topological pass.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-import networkx as nx
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.common.errors import LitmusError
 from repro.formal.events import Event, EventKind, LitmusProgram, ReadsFrom
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The set bit positions of *mask*, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def mask_of(eids: Iterable[int]) -> int:
+    mask = 0
+    for eid in eids:
+        mask |= 1 << eid
+    return mask
+
+
+class Order:
+    """A transitively closed strict partial order over event ids.
+
+    ``below[e]`` masks every event ordered before *e*, ``above[e]``
+    every event ordered after it.  Built from each node's *direct*
+    predecessors; a cycle raises :class:`LitmusError` with
+    *cycle_message*.
+    """
+
+    __slots__ = ("topo", "below", "above")
+
+    def __init__(
+        self, preds: Dict[int, int], cycle_message: str = "order has a cycle"
+    ) -> None:
+        succs = {node: 0 for node in preds}
+        for node, mask in preds.items():
+            for pred in bits(mask):
+                succs[pred] |= 1 << node
+        pending = dict(preds)
+        ready = deque(node for node, mask in preds.items() if not mask)
+        #: Nodes in a topological order (ties in insertion order).
+        self.topo: List[int] = []
+        self.below: Dict[int, int] = {}
+        while ready:
+            node = ready.popleft()
+            self.topo.append(node)
+            below = 0
+            for pred in bits(preds[node]):
+                below |= self.below[pred] | (1 << pred)
+            self.below[node] = below
+            for succ in bits(succs[node]):
+                pending[succ] &= ~(1 << node)
+                if not pending[succ]:
+                    ready.append(succ)
+        if len(self.topo) != len(preds):
+            raise LitmusError(cycle_message)
+        self.above: Dict[int, int] = {}
+        for node in reversed(self.topo):
+            above = 0
+            for succ in bits(succs[node]):
+                above |= self.above[succ] | (1 << succ)
+            self.above[node] = above
+
+    @classmethod
+    def from_edges(
+        cls,
+        nodes: Iterable[int],
+        edges: Iterable[Tuple[int, int]],
+        cycle_message: str = "order has a cycle",
+    ) -> "Order":
+        preds = {node: 0 for node in nodes}
+        for a, b in edges:
+            preds.setdefault(a, 0)
+            preds[b] = preds.get(b, 0) | (1 << a)
+        return cls(preds, cycle_message)
+
+    @property
+    def nodes(self) -> List[int]:
+        return list(self.topo)
+
+    def has_edge(self, a: int, b: int) -> bool:
+        """Whether *a* is ordered before *b*."""
+        return bool(self.below.get(b, 0) >> a & 1)
+
+    def ancestors(self, node: int) -> Set[int]:
+        return set(bits(self.below[node]))
+
+    def descendants(self, node: int) -> Set[int]:
+        return set(bits(self.above[node]))
+
+    def number_of_edges(self) -> int:
+        return sum(mask.bit_count() for mask in self.below.values())
+
+    def restrict(self, keep: int) -> "Order":
+        """The suborder on the nodes in mask *keep*."""
+        sub = Order.__new__(Order)
+        sub.topo = [node for node in self.topo if keep >> node & 1]
+        sub.below = {n: self.below[n] & keep for n in self.below if keep >> n & 1}
+        sub.above = {n: self.above[n] & keep for n in self.above if keep >> n & 1}
+        return sub
 
 
 @dataclass
@@ -44,18 +145,23 @@ class ExecutionWitness:
         raise LitmusError(f"witness references unknown event {rel_eid}")
 
 
-def build_po(program: LitmusProgram) -> nx.DiGraph:
-    """Program order: a chain per thread."""
-    po = nx.DiGraph()
+def _po_preds(program: LitmusProgram) -> Dict[int, int]:
+    """Each event's direct program-order predecessor, as a mask."""
+    preds: Dict[int, int] = {}
     for thread in program.threads:
+        prev = 0
         for event in thread.events:
-            po.add_node(event.eid)
-        for a, b in zip(thread.events, thread.events[1:]):
-            po.add_edge(a.eid, b.eid)
-    return po
+            preds[event.eid] = prev
+            prev = 1 << event.eid
+    return preds
 
 
-def build_vmo(witness: ExecutionWitness) -> nx.DiGraph:
+def build_po(program: LitmusProgram) -> Order:
+    """Program order: a chain per thread."""
+    return Order(_po_preds(program))
+
+
+def build_vmo(witness: ExecutionWitness) -> Order:
     """The witness-determined fragment of volatile memory order.
 
     vmo contains po (per-thread order is respected by the scoped model
@@ -64,7 +170,7 @@ def build_vmo(witness: ExecutionWitness) -> nx.DiGraph:
     transitively closed, as Box 1 requires.
     """
     program = witness.program
-    vmo = build_po(program)
+    preds = _po_preds(program)
     for acq in program.acquires():
         rel = witness.release_of(acq)
         if rel is None:
@@ -75,39 +181,31 @@ def build_vmo(witness: ExecutionWitness) -> nx.DiGraph:
             )
         scope = _narrowest(rel, acq)
         if program.scope_covers(scope, rel.tid, acq.tid):
-            vmo.add_edge(rel.eid, acq.eid)
-    if not nx.is_directed_acyclic_graph(vmo):
-        raise LitmusError("infeasible witness: cyclic vmo")
-    return nx.transitive_closure_dag(vmo)
+            preds[acq.eid] |= 1 << rel.eid
+    return Order(preds, "infeasible witness: cyclic vmo")
 
 
-def build_pmo(witness: ExecutionWitness) -> nx.DiGraph:
+def build_pmo(witness: ExecutionWitness) -> Order:
     """Persist memory order over the program's PM writes (Box 2)."""
     program = witness.program
     po = build_po(program)
-    po_closed = nx.transitive_closure_dag(po)
     vmo = build_vmo(witness)
-    events = {event.eid: event for event in program.events()}
-    persists = [e for e in program.events() if e.is_persist]
-    pmo = nx.DiGraph()
-    for persist in persists:
-        pmo.add_node(persist.eid)
+    events = program.events()
+    persists = {
+        thread.tid: mask_of(e.eid for e in thread.events if e.is_persist)
+        for thread in program.threads
+    }
+    preds = {e.eid: 0 for e in events if e.is_persist}
 
-    fences = [
-        e
-        for e in program.events()
-        if e.kind in (EventKind.OFENCE, EventKind.DFENCE)
-    ]
+    def order_after(w1s: int, w2s: int) -> None:
+        for w2 in bits(w2s):
+            preds[w2] |= w1s
+
     # Rule 1: intra-thread via ordering/durability fences.
-    for fence in fences:
-        for w1 in persists:
-            if w1.tid != fence.tid or not po_closed.has_edge(w1.eid, fence.eid):
-                continue
-            for w2 in persists:
-                if w2.tid != fence.tid:
-                    continue
-                if po_closed.has_edge(fence.eid, w2.eid):
-                    pmo.add_edge(w1.eid, w2.eid)
+    for fence in events:
+        if fence.kind in (EventKind.OFENCE, EventKind.DFENCE):
+            mine = persists[fence.tid]
+            order_after(po.below[fence.eid] & mine, po.above[fence.eid] & mine)
 
     # Rule 2: inter-thread via scoped release/acquire in vmo.
     for acq in program.acquires():
@@ -119,34 +217,23 @@ def build_pmo(witness: ExecutionWitness) -> nx.DiGraph:
             continue
         if not vmo.has_edge(rel.eid, acq.eid):
             continue
-        for w1 in persists:
-            if w1.tid != rel.tid or not po_closed.has_edge(w1.eid, rel.eid):
-                continue
-            for w2 in persists:
-                if w2.tid != acq.tid:
-                    continue
-                if po_closed.has_edge(acq.eid, w2.eid):
-                    pmo.add_edge(w1.eid, w2.eid)
+        order_after(
+            po.below[rel.eid] & persists[rel.tid],
+            po.above[acq.eid] & persists[acq.tid],
+        )
 
     # A PM-resident release variable is itself a persist ordered after
     # the persists preceding the release.
     for rel in program.releases():
         if rel.loc is not None and rel.loc.startswith("p"):
-            pmo.add_node(rel.eid)
-            for w1 in persists:
-                if w1.tid == rel.tid and po_closed.has_edge(w1.eid, rel.eid):
-                    pmo.add_edge(w1.eid, rel.eid)
+            preds[rel.eid] = po.below[rel.eid] & persists[rel.tid]
 
-    if not nx.is_directed_acyclic_graph(pmo):
-        raise LitmusError("pmo has a cycle; witness is inconsistent")
-    closed = nx.transitive_closure_dag(pmo)
-    closed.graph["events"] = events
-    return closed
+    return Order(preds, "pmo has a cycle; witness is inconsistent")
 
 
-def durable_prefix_required(pmo: nx.DiGraph, eid: int) -> List[int]:
+def durable_prefix_required(pmo: Order, eid: int) -> List[int]:
     """Every persist that must be durable whenever *eid* is durable."""
-    return sorted(nx.ancestors(pmo, eid))
+    return sorted(pmo.ancestors(eid))
 
 
 def _narrowest(rel: Event, acq: Event):

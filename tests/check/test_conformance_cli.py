@@ -1,15 +1,28 @@
 """The conformance CLI and its MODE_CHECK job plumbing."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from repro.check import conformance
 from repro.check.conformance import main
 from repro.check.enumerator import SMOKE_VARIANTS
 from repro.check.fuzzer import generate_stream
 from repro.common.config import ModelName, small_system
 from repro.common.errors import ConfigError
 from repro.exec import MODE_CHECK, ScenarioJob
+
+#: sha256 of ``python -m repro.check.conformance --smoke --quiet
+#: --workers 1``: every oracle verdict, coverage count and shrunk
+#: counterexample of the smoke campaign, as produced by the networkx
+#: implementation of the formal model that the bitmask orders replaced.
+SMOKE_REPORT_SHA256 = (
+    "182da4f8294c1c53b577fd3ed252f963a410c370f390369ee98d1da1915e28a7"
+)
 
 
 def make_check_job(mutant=None):
@@ -111,3 +124,52 @@ class TestCli:
         assert entry["caught"]
         assert entry["shrunk_ops"] <= 6
         assert "def test_conformance_regression" in entry["regression_test"]
+
+    def test_smoke_report_digest_is_pinned(self, tmp_path):
+        out = tmp_path / "smoke.json"
+        code = main(
+            ["--smoke", "--quiet", "--workers", "1", "--out", str(out)]
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            SMOKE_REPORT_SHA256
+        )
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["--batch-size", "0"], "--batch-size"),
+            (["--models", "bogus"], "--models"),
+            (["--models", "sbrp,"], "--models"),
+            (["--mutants", "bogus"], "--mutants"),
+            (["--mutants", "ofence_noop,bogus"], "--mutants"),
+            (["--programs", "-3"], "--programs"),
+            (["--mutant-programs", "-1"], "--mutant-programs"),
+            (["--crash-points", "-1"], "--crash-points"),
+            (["--crash-points", "0"], "--crash-points"),
+            (["--workers", "0"], "--workers"),
+        ],
+    )
+    def test_bad_input_is_a_usage_error(self, args, flag, monkeypatch, capsys):
+        def no_jobs(**_):
+            raise AssertionError("a job ran before the input was checked")
+
+        monkeypatch.setattr(conformance, "build_report", no_jobs)
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--quiet"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and flag in err
+
+
+class TestDependencies:
+    def test_formal_model_does_not_import_networkx(self):
+        code = (
+            "import sys, repro.formal, repro.check.conformance; "
+            "assert 'networkx' not in sys.modules, 'networkx imported'"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr

@@ -1,6 +1,5 @@
 """The axiomatic model: relations, crash images, litmus library."""
 
-import networkx as nx
 import pytest
 
 from repro.common.config import ModelName, Scope
@@ -8,6 +7,7 @@ from repro.formal import (
     LITMUS_TESTS,
     ExecutionWitness,
     LitmusProgram,
+    Order,
     allowed_crash_images,
     build_pmo,
     build_po,
@@ -30,7 +30,7 @@ class TestRelations:
         prog = mp_program()
         po = build_po(prog)
         eids = [e.eid for e in prog.threads[0].events]
-        assert list(nx.topological_sort(po)) == eids
+        assert po.topo == eids
 
     def test_ofence_creates_pmo_edge(self):
         prog = mp_program()
@@ -83,14 +83,13 @@ class TestRelations:
 
 class TestCrashImages:
     def test_downward_closed_count_for_chain(self):
-        dag = nx.DiGraph([(1, 2), (2, 3)])
+        dag = Order.from_edges([], [(1, 2), (2, 3)])
         subsets = downward_closed_subsets(dag)
         # A 3-chain has exactly 4 order ideals.
         assert len(subsets) == 4
 
     def test_downward_closed_count_for_antichain(self):
-        dag = nx.DiGraph()
-        dag.add_nodes_from([1, 2])
+        dag = Order.from_edges([1, 2], [])
         assert len(downward_closed_subsets(dag)) == 4
 
     def test_mp_images(self):

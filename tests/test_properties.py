@@ -5,14 +5,10 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import GPUSystem, ModelName, Scope, small_system
+from litmus_strategies import random_litmus, small_dags
+from repro import GPUSystem, ModelName, small_system
 from repro.common.bitmask import WarpMask
-from repro.formal import (
-    ExecutionWitness,
-    LitmusProgram,
-    allowed_crash_images,
-    build_pmo,
-)
+from repro.formal import ExecutionWitness, Order, allowed_crash_images, build_pmo
 from repro.formal.crash_states import downward_closed_subsets
 from repro.formal.events import all_reads_from
 from repro.memory.devices import BandwidthChannel, NVMController
@@ -109,54 +105,18 @@ def test_pbuffer_entries_keep_fifo_order(data):
 # ----------------------------------------------------------------------
 # Formal model
 # ----------------------------------------------------------------------
-@st.composite
-def small_dags(draw):
-    n = draw(st.integers(1, 6))
-    g = nx.DiGraph()
-    g.add_nodes_from(range(n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if draw(st.booleans()):
-                g.add_edge(i, j)
-    return g
-
-
 @given(small_dags())
 def test_downward_closed_subsets_are_closed(dag):
-    for subset in downward_closed_subsets(dag):
+    for subset in downward_closed_subsets(Order.from_edges(dag.nodes, dag.edges)):
         for node in subset:
             assert nx.ancestors(dag, node) <= subset
 
 
 @given(small_dags())
 def test_downward_closed_contains_empty_and_full(dag):
-    subsets = downward_closed_subsets(dag)
+    subsets = downward_closed_subsets(Order.from_edges(dag.nodes, dag.edges))
     assert frozenset() in subsets
     assert frozenset(dag.nodes) in subsets
-
-
-@st.composite
-def random_litmus(draw):
-    """Small random programs: 2 threads, writes/fences/release-acquire."""
-    prog = LitmusProgram("random")
-    locs = ["pA", "pB", "pC"]
-    for tid in range(2):
-        thread = prog.thread(block=draw(st.integers(0, 1)))
-        for _ in range(draw(st.integers(1, 4))):
-            choice = draw(st.integers(0, 3))
-            if choice == 0:
-                thread.w(draw(st.sampled_from(locs)), draw(st.integers(1, 3)))
-            elif choice == 1:
-                thread.ofence()
-            elif choice == 2:
-                thread.prel(
-                    "f", 1, draw(st.sampled_from([Scope.BLOCK, Scope.DEVICE]))
-                )
-            else:
-                thread.pacq(
-                    "f", draw(st.sampled_from([Scope.BLOCK, Scope.DEVICE]))
-                )
-    return prog
 
 
 @given(random_litmus())
@@ -174,7 +134,7 @@ def test_crash_images_are_pmo_consistent(program):
             pmo = build_pmo(witness)
         except LitmusError:
             continue  # infeasible witness
-        events = pmo.graph["events"]
+        events = {event.eid: event for event in program.events()}
         writers = Counter(
             (events[eid].loc, events[eid].value) for eid in pmo.nodes
         )
@@ -190,7 +150,7 @@ def test_crash_images_are_pmo_consistent(program):
                     # ancestor obligation cannot be pinned on this
                     # event.
                     continue
-                for pred in nx.ancestors(pmo, eid):
+                for pred in pmo.ancestors(eid):
                     ploc = events[pred].loc
                     # The predecessor's location must hold *some*
                     # durable (non-initial) value.
