@@ -39,7 +39,7 @@ from typing import Any, Dict, List, Mapping, Optional
 from repro.chaos.timeline import FaultWindow, TimelinePlan
 from repro.common.config import ModelName, ResilienceConfig, small_system
 from repro.exec import Executor, ScenarioJob
-from repro.exec.executor import add_pool_args, pool_kwargs
+from repro.exec.executor import add_pool_args, pool_kwargs, positive_int
 from repro.exec.jobs import MODE_SOAK
 from repro.faults.oracles import CONSISTENT
 
@@ -266,7 +266,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="bounded CI preset: the SBRP resilient/unprotected pair",
     )
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=positive_int, default=1)
     parser.add_argument(
         "--cache-dir",
         default=None,

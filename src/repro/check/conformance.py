@@ -21,6 +21,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import ModelName, small_system
 from repro.exec import MODE_CHECK, Executor, ScenarioJob
+from repro.exec.executor import positive_int
 from repro.formal.events import LitmusProgram
 
 from repro.check.corpus import corpus_programs
@@ -235,7 +236,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--smoke", action="store_true",
         help="small CI budget: fewer programs, the smoke variant subset",
     )
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=positive_int, default=1)
     parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--out", default=None, help="report path (default stdout)")
     parser.add_argument(
@@ -269,7 +270,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ("--mutant-programs", args.mutant_programs, 0),
         ("--batch-size", args.batch_size, 1),
         ("--crash-points", args.crash_points, 1),
-        ("--workers", args.workers, 1),
     ):
         if value < least:
             parser.error(f"{flag} must be at least {least}, got {value}")

@@ -19,6 +19,7 @@ Submission semantics:
 from __future__ import annotations
 
 import argparse
+import gc
 import time
 from dataclasses import dataclass
 from typing import (
@@ -66,8 +67,18 @@ def execute_job_payload(payload: dict) -> dict:
 
     Module-level so it stays importable under every multiprocessing
     start method.
+
+    Ends with a full collection.  A finished ``GPU`` is cyclic garbage
+    (SM <-> GPU back-references, bound-method callbacks, suspended warp
+    generators), so only the cycle collector frees it, and how often its
+    oldest generation runs depends on how many objects other code
+    allocates.  Collecting here frees each job's machines at the job
+    boundary, so a process's peak memory is one job's, not however many
+    machines pile up between generation-2 passes.
     """
-    return ScenarioJob.from_json(payload).execute().to_json()
+    result = ScenarioJob.from_json(payload).execute().to_json()
+    gc.collect()
+    return result
 
 
 def error_class(outcome: JobOutcome) -> Optional[str]:
@@ -88,6 +99,19 @@ def error_class(outcome: JobOutcome) -> Optional[str]:
             continue
         return qualified.rpartition(".")[2]
     return None
+
+
+def positive_int(text: str) -> int:
+    """argparse ``type=`` for ``--workers`` (and other counts that must
+    be at least 1): a bad value becomes a usage error naming the flag,
+    raised before any job runs."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def add_pool_args(parser: argparse.ArgumentParser) -> None:

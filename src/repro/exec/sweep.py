@@ -35,7 +35,12 @@ from repro.bench.figures import (
 )
 from repro.bench.workloads import APP_ORDER, SCOPED_APPS, WORKLOADS
 from repro.exec.cache import ResultCache, default_cache_dir
-from repro.exec.executor import Executor, add_pool_args, pool_kwargs
+from repro.exec.executor import (
+    Executor,
+    add_pool_args,
+    pool_kwargs,
+    positive_int,
+)
 from repro.exec.pool import PoolEvent
 
 #: Driver registry in presentation order.  Figure 7 only covers the
@@ -104,7 +109,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=positive_int,
         default=1,
         help="worker processes (1 = serial in-process fallback)",
     )

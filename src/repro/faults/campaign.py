@@ -31,8 +31,9 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.config import ModelName, PMPlacement, small_system
+from repro.common.errors import ConfigError
 from repro.exec import Executor, ScenarioJob
-from repro.exec.executor import add_pool_args, pool_kwargs
+from repro.exec.executor import add_pool_args, pool_kwargs, positive_int
 from repro.exec.jobs import MODE_FAULTS
 from repro.faults.oracles import (
     CONSISTENT,
@@ -470,10 +471,32 @@ def _progress(event: Any) -> None:
         )
 
 
-def _repro(path: str) -> int:
-    """Replay one reproducer spec (a ScenarioJob JSON) and report."""
-    with open(path, "r", encoding="utf-8") as handle:
-        job = ScenarioJob.from_json(json.load(handle))
+def _load_repro(parser: argparse.ArgumentParser, path: str) -> ScenarioJob:
+    """The fault-mode ScenarioJob in reproducer file *path*; anything
+    else is a usage error naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except OSError as exc:
+        parser.error(f"--repro {path}: cannot read it ({exc.strerror})")
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        parser.error(f"--repro {path}: not JSON ({exc})")
+    try:
+        job = ScenarioJob.from_json(data)
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        parser.error(
+            f"--repro {path}: not a reproducer spec "
+            f"({type(exc).__name__}: {exc})"
+        )
+    if job.mode != MODE_FAULTS:
+        parser.error(
+            f"--repro {path}: job mode is {job.mode!r}, not {MODE_FAULTS!r}"
+        )
+    return job
+
+
+def _repro(job: ScenarioJob) -> int:
+    """Replay one reproducer spec (a fault-mode ScenarioJob) and report."""
     result = job.execute()
     detail = result.detail or {}
     print(render_report(detail), end="")
@@ -528,7 +551,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         choices=sorted(named_plans()),
         help="restrict the full sweep to these named plans",
     )
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=positive_int, default=1)
     add_pool_args(parser)
     parser.add_argument(
         "--cache-dir",
@@ -537,7 +560,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--max-crash-points",
-        type=int,
+        type=positive_int,
         default=None,
         help=f"crash-point cap per cell (default {DEFAULT_MAX_CRASH_POINTS}, "
         f"smoke {SMOKE_MAX_CRASH_POINTS})",
@@ -553,7 +576,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.list_plans:
         return _list_plans()
     if args.repro is not None:
-        return _repro(args.repro)
+        return _repro(_load_repro(parser, args.repro))
 
     models = tuple(
         m for m in ALL_MODELS if args.models is None or m.value in args.models

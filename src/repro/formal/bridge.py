@@ -160,34 +160,34 @@ def simulate_program(
     end = system.gpu.engine.now
     observation.end = end
 
-    def named_image(t: float) -> Dict[str, int]:
-        image = system.gpu.subsystem.crash_image(t)
-        return {
-            loc: image.get(a, 0)
-            for loc, a in addr.items()
-            if loc.startswith("p")
-        }
-
+    pm_addr = {loc: a for loc, a in addr.items() if loc.startswith("p")}
     # Every instant where the durable image can change, plus an even
     # sampling (the boundaries alone would miss nothing, but the spaced
     # points keep the historical behavior for coarse sweeps).
-    times = set(system.gpu.subsystem.persist_log.boundary_times(end=end))
-    times.update(end * i / crash_points for i in range(crash_points + 1))
-    seen: Set[Tuple[Tuple[str, int], ...]] = set()
-    for t in sorted(times):
-        named = named_image(t)
-        key = tuple(sorted(named.items()))
-        if key not in seen:
-            seen.add(key)
-            observation.images.append((t, named))
-
-    observation.final_image = named_image(end)
+    sampled = set(system.gpu.subsystem.persist_log.boundary_times(end=end))
+    sampled.update(end * i / crash_points for i in range(crash_points + 1))
     # A dFence's durability obligation binds at its completion instant:
     # everything the issuing thread persisted before it must already be
     # durable *then* (later images only grow).
+    dfence_times = {t for t, _ in observation.dfence_images.values()}
+    instants = sorted(sampled | dfence_times | {end})
+    named: Dict[float, Dict[str, int]] = {}
+    seen: Set[Tuple[Tuple[str, int], ...]] = set()
+    current: Dict[str, int] = {}
+    key: Tuple[Tuple[str, int], ...] = ()
+    sweep = system.gpu.subsystem.crash_images(instants)
+    for t, (image, changed) in zip(instants, sweep):
+        if changed:
+            current = {loc: image.get(a, 0) for loc, a in pm_addr.items()}
+            key = tuple(sorted(current.items()))
+        named[t] = current
+        if t in sampled and key not in seen:
+            seen.add(key)
+            observation.images.append((t, current))
+
+    observation.final_image = named[end]
     observation.dfence_images = {
-        eid: (t, named_image(t))
-        for eid, (t, _) in observation.dfence_images.items()
+        eid: (t, named[t]) for eid, (t, _) in observation.dfence_images.items()
     }
     return observation
 

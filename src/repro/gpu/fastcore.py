@@ -77,11 +77,14 @@ class FastL1Cache(L1Cache):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._map: Dict[int, CacheLine] = {}
-        #: Set-major way position of each line, for restoring the
-        #: reference sweep order after a map-based collection.
-        self._pos: Dict[int, int] = {
-            id(line): i for i, line in enumerate(self._all_lines)
-        }
+        #: Set-major way position of each allocated line, for restoring
+        #: the reference sweep order after a map-based collection.
+        self._pos: Dict[int, int] = {}
+
+    def _allocate_way(self, index: int, ways: List[CacheLine]) -> CacheLine:
+        line = super()._allocate_way(index, ways)
+        self._pos[id(line)] = index * self.assoc + len(ways) - 1
+        return line
 
     def lookup(self, line_addr: int, now: float = 0.0) -> Optional[CacheLine]:
         line = self._map.get(line_addr)

@@ -16,8 +16,10 @@ L2 (timing and hit/miss statistics only).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from itertools import chain
+from typing import DefaultDict, Dict, Iterator, List, Optional
 
 from repro.common.stats import StatsRegistry
 
@@ -79,16 +81,14 @@ class L1Cache:
         self.num_sets = size // (line_size * assoc)
         if self.num_sets < 1:
             raise ValueError(f"{name}: cache too small for its geometry")
-        self._sets: List[List[CacheLine]] = [
-            [CacheLine() for _ in range(assoc)] for _ in range(self.num_sets)
-        ]
-        #: Flat view of every line (set-major, way order) — the geometry
-        #: never changes after construction, so whole-cache scans
-        #: (invalidations, dirty-line sweeps) iterate this list instead
-        #: of a nested generator.
-        self._all_lines: List[CacheLine] = [
-            line for ways in self._sets for line in ways
-        ]
+        #: Ways are allocated on first use.  Invariant: each set's
+        #: allocated ways are a prefix of its *assoc* ways, and every
+        #: way past that prefix is invalid — so the first-invalid-else-
+        #: LRU victim rule picks the same way position as a cache whose
+        #: ways all exist up front, and sweeps see the same lines in the
+        #: same set-major order.  A litmus machine touches a handful of
+        #: lines, so it builds only those.
+        self._sets: List[List[CacheLine]] = [[] for _ in range(self.num_sets)]
         self.stats = stats if stats is not None else StatsRegistry()
 
     # ------------------------------------------------------------------
@@ -115,11 +115,20 @@ class L1Cache:
         """Choose the fill target for *line_addr*: an invalid way if one
         exists, else the LRU way.  The caller decides what to do with a
         dirty victim before overwriting it."""
-        ways = self._sets[self._set_index(line_addr)]
+        index = self._set_index(line_addr)
+        ways = self._sets[index]
         for line in ways:
             if not line.valid:
                 return line
+        if len(ways) < self.assoc:
+            return self._allocate_way(index, ways)
         return min(ways, key=lambda line: line.last_use)
+
+    def _allocate_way(self, index: int, ways: List[CacheLine]) -> CacheLine:
+        """Append a fresh (invalid) way to set *index*."""
+        line = CacheLine()
+        ways.append(line)
+        return line
 
     def fill(
         self,
@@ -151,7 +160,7 @@ class L1Cache:
         """Drop clean PM lines (device-scope pAcq under SBRP).  Dirty PM
         lines hold this SM's own buffered persists and stay."""
         dropped = 0
-        for line in self._all_lines:
+        for line in self._lines():
             if line.valid and line.is_pm and not line.dirty:
                 line.reset()
                 dropped += 1
@@ -161,7 +170,7 @@ class L1Cache:
         """Drop all (now clean) PM lines — the epoch barrier's behaviour
         after it has flushed dirty persists."""
         dropped = 0
-        for line in self._all_lines:
+        for line in self._lines():
             if line.valid and line.is_pm:
                 line.reset()
                 dropped += 1
@@ -171,7 +180,7 @@ class L1Cache:
         """Drop everything — GPM's system-scope fence hits volatile lines
         too, which is precisely its extra cost over the PM-only epoch."""
         dropped = 0
-        for line in self._all_lines:
+        for line in self._lines():
             if line.valid:
                 line.reset()
                 dropped += 1
@@ -180,18 +189,19 @@ class L1Cache:
     # ------------------------------------------------------------------
     # iteration
     # ------------------------------------------------------------------
+    def _lines(self) -> Iterator[CacheLine]:
+        """Every allocated way, set-major then way order."""
+        return chain.from_iterable(self._sets)
+
     def dirty_pm_lines(self) -> List[CacheLine]:
         return [
             line
-            for line in self._all_lines
+            for line in self._lines()
             if line.valid and line.dirty and line.is_pm
         ]
 
-    def _lines(self) -> Iterator[CacheLine]:
-        return iter(self._all_lines)
-
     def occupancy(self) -> int:
-        return sum(1 for line in self._all_lines if line.valid)
+        return sum(1 for line in self._lines() if line.valid)
 
 
 class TagCache:
@@ -209,7 +219,8 @@ class TagCache:
         self.line_size = line_size
         self.assoc = assoc
         self.num_sets = max(1, size // (line_size * assoc))
-        self._sets: List[Dict[int, float]] = [{} for _ in range(self.num_sets)]
+        #: Set index -> {tag: last use}, created on first touch.
+        self._sets: DefaultDict[int, Dict[int, float]] = defaultdict(dict)
         self.stats = stats if stats is not None else StatsRegistry()
 
     def access(self, line_addr: int, now: float, allocate: bool = True) -> bool:

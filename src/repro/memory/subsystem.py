@@ -14,7 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from repro.common.config import GPUConfig, MemoryConfig, PMPlacement
 from repro.common.stats import StatsRegistry
@@ -275,10 +284,57 @@ class MemorySubsystem:
         A fault injector may rewrite the accepted records at this point
         (torn persists: lines still in the WPQ at the crash lose a
         subset of their words)."""
-        image = dict(self.backing.durable)
-        records = self.persist_log.records_until(time)
-        if self.faults is not None and self.faults.active:
-            records = self.faults.torn_records(records, time)
-        for record in records:
-            image.update(record.words)
+        image, _ = next(self.crash_images((time,)))
         return image
+
+    def crash_images(
+        self, times: Iterable[float]
+    ) -> Iterator[Tuple[Dict[int, int], bool]]:
+        """``(crash_image(t), changed)`` for each of the ascending
+        *times*, from one sweep over the persist log.
+
+        *changed* is True when the image differs from the previous
+        instant's (always, for the first); an unchanged instant yields
+        the previous instant's dict again.
+
+        With an active fault injector each instant is rebuilt from
+        scratch instead: torn persists depend on the crash instant, so
+        the image at one instant is not an overlay of the previous."""
+        if self.faults is not None and self.faults.active:
+            yield from self._torn_crash_images(times)
+            return
+        records = sorted(
+            self.persist_log.records(), key=lambda r: (r.accept_time, r.seq)
+        )
+        image = dict(self.backing.durable)
+        snapshot: Optional[Dict[int, int]] = None
+        applied = 0
+        last = -math.inf
+        for time in times:
+            if time < last:
+                raise ValueError("crash_images needs ascending times")
+            last = time
+            touched = False
+            while applied < len(records):
+                record = records[applied]
+                if record.accept_time > time:
+                    break
+                image.update(record.words)
+                applied += 1
+                touched = True
+            changed = snapshot is None or (touched and image != snapshot)
+            if changed:
+                snapshot = dict(image)
+            yield snapshot, changed
+
+    def _torn_crash_images(
+        self, times: Iterable[float]
+    ) -> Iterator[Tuple[Dict[int, int], bool]]:
+        previous: Optional[Dict[int, int]] = None
+        for time in times:
+            image = dict(self.backing.durable)
+            records = self.persist_log.records_until(time)
+            for record in self.faults.torn_records(records, time):
+                image.update(record.words)
+            yield image, image != previous
+            previous = image

@@ -27,6 +27,7 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from repro.exec.executor import positive_int
 from repro.perfcore.grid import DiffCell, build_grid, run_cell
 
 
@@ -108,7 +109,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="CI subset: litmus corpus (sbrp) + one fault cell + one sim cell",
     )
     parser.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=positive_int, default=1,
         help="concurrent worker processes (default: 1 = in-process)",
     )
     parser.add_argument(

@@ -132,6 +132,18 @@ class TestSoakJobs:
 
 
 class TestSoakCLI:
+    @pytest.mark.parametrize("workers", ["0", "x"])
+    def test_bad_workers_is_a_usage_error(self, workers, monkeypatch, capsys):
+        def refuse(*_, **__):
+            raise AssertionError("a job ran before the input was checked")
+
+        monkeypatch.setattr(soak.Executor, "submit", refuse)
+        with pytest.raises(SystemExit) as exc:
+            soak.main(["--smoke", "--quiet", "--workers", workers])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--workers" in err
+
     def test_smoke_is_byte_identical_across_workers(self, tmp_path):
         out1 = tmp_path / "w1.json"
         out2 = tmp_path / "w2.json"

@@ -1,6 +1,7 @@
 """Executor semantics: dedupe, caching, parallel parity, failures."""
 
 import dataclasses
+import gc
 
 import pytest
 
@@ -161,3 +162,23 @@ class TestWorkerPayload:
         payload = execute_job_payload(job.to_json())
         result = ScenarioResult.from_json(payload)
         assert result == job.execute()
+
+    def test_machines_die_with_their_job(self):
+        # A finished GPU is cyclic garbage; the payload runner must free
+        # it at the job boundary rather than leave it to whenever the
+        # collector's oldest generation next runs.
+        from repro.gpu.device import GPU
+
+        gc.collect()
+        alive = [o for o in gc.get_objects() if isinstance(o, GPU)]
+        gc.disable()
+        try:
+            execute_job_payload(_job().to_json())
+            leaked = [
+                o
+                for o in gc.get_objects()
+                if isinstance(o, GPU) and not any(o is a for a in alive)
+            ]
+        finally:
+            gc.enable()
+        assert leaked == []

@@ -162,3 +162,62 @@ class TestCongestedTeeth:
         )
         result = Executor(workers=1).submit([latent.job()])[0]
         assert result.stats["faults.inconsistent_points"] == 0
+
+
+class TestBadInput:
+    """Bad flags and reproducer files are argparse usage errors (exit 2)
+    naming the flag or file, raised before any job runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_jobs(self, monkeypatch):
+        from repro.exec.jobs import ScenarioJob
+
+        def refuse(*_, **__):
+            raise AssertionError("a job ran before the input was checked")
+
+        monkeypatch.setattr("repro.faults.campaign.Executor.submit", refuse)
+        monkeypatch.setattr(ScenarioJob, "execute", refuse)
+
+    def usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--quiet"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        return err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--smoke", "--max-crash-points", "0"], "--max-crash-points"),
+            (["--max-crash-points", "-2"], "--max-crash-points"),
+            (["--smoke", "--workers", "0"], "--workers"),
+            (["--smoke", "--workers", "two"], "--workers"),
+        ],
+    )
+    def test_bad_flag(self, argv, flag, capsys):
+        assert flag in self.usage_error(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, "{not json", "[1, 2]", '{"app": "gpkvs"}', b"\xff\xfe"],
+        ids=["missing", "not-json", "not-object", "missing-keys", "binary"],
+    )
+    def test_bad_reproducer_file(self, content, tmp_path, capsys):
+        spec = tmp_path / "repro.json"
+        if isinstance(content, bytes):
+            spec.write_bytes(content)
+        elif content is not None:
+            spec.write_text(content)
+        err = self.usage_error(["--repro", str(spec)], capsys)
+        assert "--repro" in err and str(spec) in err
+
+    def test_reproducer_must_be_a_fault_job(self, tmp_path, capsys):
+        from repro.common.config import small_system
+        from repro.exec.jobs import ScenarioJob
+
+        job = ScenarioJob(app="reduction", config=small_system())
+        spec = tmp_path / "scenario.json"
+        spec.write_text(json.dumps(job.to_json()))
+        err = self.usage_error(["--repro", str(spec)], capsys)
+        assert "faults" in err and str(spec) in err

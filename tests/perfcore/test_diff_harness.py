@@ -124,3 +124,18 @@ def test_cli_list_prints_cells(capsys):
     assert main(["--smoke", "--list"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert "litmus.sbrp.mp_ofence_split" in lines
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_cli_rejects_bad_workers(workers, monkeypatch, capsys):
+    import repro.perfcore.diff as diff
+
+    def refuse(*_, **__):
+        raise AssertionError("a cell ran before the input was checked")
+
+    monkeypatch.setattr(diff, "run_cell", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["--smoke", "--quiet", "--workers", workers])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--workers" in err

@@ -57,3 +57,16 @@ class TestDeterminism:
             ["--smoke", "--workers", "2", "--out", str(two), "--quiet"]
         ) == 0
         assert one.read_bytes() == two.read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", "many"])
+def test_bad_workers_is_a_usage_error(workers, monkeypatch, capsys):
+    def refuse(*_, **__):
+        raise AssertionError("a job ran before the input was checked")
+
+    monkeypatch.setattr(bench.Executor, "submit", refuse)
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["--smoke", "--quiet", "--workers", workers])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--workers" in err
