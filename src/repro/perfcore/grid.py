@@ -5,7 +5,7 @@ and lands in reports verbatim) that :func:`run_cell` executes twice —
 once per engine — and reduces to a pair of fingerprints plus a match
 verdict.  The grid covers the three axes the tentpole promises:
 
-* **sim** — 3 persistency models x {gpkvs, reduction, scan}, the same
+* **sim** — 3 persistency models x the six Table 2 apps, the same
   shrunk cases the golden-trace tests pin;
 * **litmus** — the full conformance corpus plus one fuzzed multi-block
   program under every model, swept through the smoke variant set (the
@@ -44,6 +44,11 @@ SIM_PARAMS: Dict[str, Dict[str, Any]] = {
     "gpkvs": dict(n_pairs=256, capacity=512, rounds=2),
     "reduction": dict(blocks=6, per_thread=4),
     "scan": dict(blocks=8),
+    # The persist-buffer-heavy kernels: long held prefixes in the SBRP
+    # drain, plus eviction bypasses and coalesces (hashmap).
+    "hashmap": dict(n_inserts=512, capacity=1024, rounds=2),
+    "multiqueue": dict(batches=2, blocks=4),
+    "srad": dict(side=32),
 }
 
 #: Crash points sampled per litmus variant (matches the bench case).

@@ -33,6 +33,9 @@ def test_full_grid_covers_all_axes():
         == {"gpm", "epoch", "sbrp"}
     assert [c.name for c in GRID.values() if c.kind == "soak"] \
         == ["soak.sbrp.kvs"]
+    # Sim cells: every model x the six Table 2 apps.
+    assert len([c for c in GRID.values() if c.kind == "sim"]) == 18
+    assert len(GRID) == 62
 
 
 def test_smoke_grid_is_subset_of_full():

@@ -1,9 +1,11 @@
-"""Satellite 2: golden-trace regression pins for 3 models x 3 apps.
+"""Satellite 2: golden-trace regression pins for 3 models x 6 apps.
 
 ``golden_traces.json`` snapshots the exact end-to-end behaviour of the
 pre-fastcore seed — cycle counts, engine event counts, every stats
 counter, and hashes of the crash image and metrics snapshot — for each
-persistency model on gpkvs/reduction/scan.  Both engines — reference
+persistency model on each of the six Table 2 apps (hashmap, multiqueue
+and srad were pinned later, on the code just before the SBRP drain's
+resumable held-prefix scan).  Both engines — reference
 and fast — must still reproduce those payloads bit-for-bit: any future
 engine change that shifts timing fails here with a field-level diff,
 not silently.
@@ -53,5 +55,5 @@ def test_golden_file_covers_full_matrix():
     models = {case["model"] for case in GOLDEN["cases"].values()}
     apps = {case["app"] for case in GOLDEN["cases"].values()}
     assert models == {"gpm", "epoch", "sbrp"}
-    assert apps == {"gpkvs", "reduction", "scan"}
-    assert len(GOLDEN["cases"]) == 9
+    assert apps == {"gpkvs", "hashmap", "multiqueue", "reduction", "scan", "srad"}
+    assert len(GOLDEN["cases"]) == 18
