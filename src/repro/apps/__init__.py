@@ -37,9 +37,10 @@ APPS = {
     "scan": Scan,
 }
 
-#: Apps resolved on first use: ``name -> (module, class)``.  The serve
-#: app lives in :mod:`repro.serve`, which imports this package — eager
-#: registration would cycle, so :func:`build_app` imports it lazily.
+#: Apps resolved on use: ``name -> (module, class)``.  The serve app
+#: lives in :mod:`repro.serve`, which imports this package — eager
+#: registration would cycle, so :func:`build_app` imports it lazily (and
+#: never adds it to :data:`APPS`, which stays the six Table 2 apps).
 _LAZY_APPS = {
     "serve_kvs": ("repro.serve.app", "ServeKVS"),
 }
@@ -57,7 +58,7 @@ def build_app(name: str, **params):
         import importlib
 
         module, attr = _LAZY_APPS[name]
-        cls = APPS[name] = getattr(importlib.import_module(module), attr)
+        cls = getattr(importlib.import_module(module), attr)
     if cls is None:
         raise KeyError(f"unknown app {name!r}; have {app_names()}")
     return cls(**params)

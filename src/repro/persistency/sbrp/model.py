@@ -24,6 +24,7 @@ Control flow summary:
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import TYPE_CHECKING, Dict, List, Mapping
 
 from repro.common.bitmask import WarpMask
@@ -94,7 +95,7 @@ class SBRPModel(PersistencyModel):
                         self._schedule_pump(sm)
                         return Outcome.blocked()
                     line.write_words(words)
-                    entry.warp_mask |= bit
+                    st.coalesce(entry, bit)
                     self.stats.add("sbrp.stores_coalesced")
                     self.stats.add("l1.write_hit_pm")
                     if sm.tracer.enabled:
@@ -159,7 +160,7 @@ class SBRPModel(PersistencyModel):
         tail = st.pb.tail()
         if tail is not None and tail.kind is EntryKind.OFENCE:
             # Back-to-back oFences coalesce into one entry (Section 6.1).
-            tail.warp_mask |= bit
+            st.coalesce(tail, bit)
             st.note_order_point(warp.slot, tail)
             self.stats.add("sbrp.ofence_coalesced")
             return Outcome.complete(now + 1)
@@ -308,7 +309,7 @@ class SBRPModel(PersistencyModel):
             self._schedule_pump(sm)
             return Outcome.blocked()
         # No ordering entry precedes it: flush out of FIFO order.
-        st.pb.tombstone(entry)
+        st.tombstone(entry)
         ack = self.flush_line(sm, line, now)
         sm.l1.drop_line(line)
         st.add_inflight(ack.ack_time)
@@ -345,19 +346,32 @@ class SBRPModel(PersistencyModel):
         past delayed entries: unrelated warps' persists keep flowing —
         the paper's stated purpose for the FSM ("avoid false ordering
         amongst persists from different warps").
+
+        The pass starts after the *held prefix* the previous pass left
+        (``SBRPState.scan_*``): the leading live entries it found
+        delayed, and the hold mask they build.  A delayed verdict
+        depends only on the entry's Warp BM, the FSM and that hold mask,
+        and within a pass the latter two only grow.  So while the FSM
+        keeps every bit the prefix was judged under, no held entry
+        leaves and no held Warp BM gains a bit, a rescan would find the
+        same prefix held under the same hold mask.  ``SBRPState`` drops
+        the prefix on a widening coalesce or an eviction bypass; an FSM
+        reset drops it here, and a traced pass always starts at the head
+        so every delay is reported.
         """
         st = self.states[sm.sm_id]
         st.pump_scheduled = False
         if st.actr == 0:
             st.fsm.reset()
         traced = sm.tracer.enabled
-        hold = 0  # warps with a delayed earlier entry in this pass
-        pb = st.pb
-        # Physically drop leading tombstones first (head() is the FIFO's
-        # existing lazy-cleanup path): shorter scans, same live sequence.
-        pb.head()
         fsm = st.fsm
         fsm_bits = fsm.bits  # only _order_point_at_head mutates the FSM
+        if traced or st.scan_fsm & ~fsm_bits:
+            st.drop_scan()
+        hold = st.scan_hold  # warps with a delayed earlier entry
+        held = st.scan_len
+        held_seq = st.scan_seq
+        pb = st.pb
         persist = EntryKind.PERSIST
         remove = pb.remove
         # Inlined _policy_allows for the WINDOW policy (the default):
@@ -367,18 +381,16 @@ class SBRPModel(PersistencyModel):
             if self._drain_policy is DrainPolicy.WINDOW
             else None
         )
-        # Iterate the deque directly: the pass only *tombstones* entries
-        # (remove() flags them, never mutates the deque), and nothing in
-        # the loop body appends — wakes merely schedule events.  Checking
-        # ``evicted`` at visit time therefore matches the snapshot the
-        # reference ``list(entries())`` took up front.
-        for entry in pb._fifo:
-            if entry.evicted:
-                continue
+        # Snapshot the entries past the held prefix: the pass removes
+        # entries as it goes, and nothing in the loop body appends —
+        # wakes merely schedule events.
+        for entry in list(islice(pb.live.values(), held, None)):
             warp_mask = entry.warp_mask
             if entry.kind is persist:
                 if warp_mask & (fsm_bits | hold):
                     hold |= warp_mask
+                    held += 1
+                    held_seq = entry.seq
                     if traced:
                         sm.tracer.persist_delay(sm.sm_id, entry.line_addr, "fsm")
                     continue
@@ -404,12 +416,20 @@ class SBRPModel(PersistencyModel):
                     # An earlier persist of this warp is still delayed;
                     # the ordering point cannot retire yet.
                     hold |= warp_mask
+                    held += 1
+                    held_seq = entry.seq
                     continue
                 remove(entry)
                 self._order_point_at_head(sm, st, entry, now)
                 fsm_bits = fsm.bits
             if st.space_waiters:
                 self._wake_space_waiters(sm, st, now)
+        # Removed entries do not end the prefix: the live entries up to
+        # the budget break are exactly the delayed ones.
+        st.scan_len = held
+        st.scan_seq = held_seq
+        st.scan_hold = hold
+        st.scan_fsm = fsm_bits
         if st.actr == 0:
             st.fsm.reset()
             self._resolve_actr_zero(sm, st, now)

@@ -2,9 +2,10 @@
 
 Each entry is either a *persist* (pointing at a dirty L1 line) or an
 *ordering point* (oFence / dFence / scoped pAcq / pRel), tagged with a
-Warp BM recording which warp slots issued it.  Entries leave from the
-head in FIFO order; a persist may additionally leave out-of-order via a
-*tombstone* when a capacity eviction is allowed to bypass (no ordering
+Warp BM recording which warp slots issued it.  The drain scan retires
+entries in FIFO order, moving past delayed ones; a persist may
+additionally leave out of order through a *tombstone* — an out-of-order
+removal — when a capacity eviction is allowed to bypass (no ordering
 entry precedes it).
 """
 
@@ -12,9 +13,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.common.config import Scope
 
@@ -47,7 +47,8 @@ class PBEntry:
     #: Release payload (device-scope pRel publishes on completion).
     flag_addr: Optional[int] = None
     flag_value: int = 0
-    #: Set when a capacity eviction flushed this persist out of order.
+    #: Set once the entry has left the buffer (drained, retired or
+    #: flushed out of order by a capacity eviction).
     evicted: bool = False
     #: Warps stalled until this entry is flushed and acknowledged (the
     #: EDM coalescing-conflict stall of Section 6.1).
@@ -58,34 +59,38 @@ class PBEntry:
 
 
 class PersistBuffer:
-    """FIFO of :class:`PBEntry` with live-entry accounting."""
+    """FIFO of :class:`PBEntry` with live-entry accounting.
+
+    The live entries sit in one insertion-ordered dict keyed by sequence
+    number: appends go to the back, and a removal from anywhere (head
+    retirement, the drain scan, an eviction bypass) is one O(1) delete.
+    """
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        self._fifo: Deque[PBEntry] = deque()
-        self._by_seq: Dict[int, PBEntry] = {}
+        #: Live entries in FIFO order, keyed by sequence number.
+        self.live: Dict[int, PBEntry] = {}
         self._seq = itertools.count(1)
         self._order_entries = 0
-        self._tombstones = 0
         self.peak_occupancy = 0
 
     # ------------------------------------------------------------------
     # occupancy
     # ------------------------------------------------------------------
     def live_count(self) -> int:
-        return len(self._fifo) - self._tombstones
+        return len(self.live)
 
     def is_full(self) -> bool:
-        return self.live_count() >= self.capacity
+        return len(self.live) >= self.capacity
 
     def has_order_entries(self) -> bool:
         return self._order_entries > 0
 
     def __len__(self) -> int:
-        return self.live_count()
+        return len(self.live)
 
     def __bool__(self) -> bool:
-        return self.live_count() > 0
+        return bool(self.live)
 
     # ------------------------------------------------------------------
     # append / lookup
@@ -108,55 +113,42 @@ class PersistBuffer:
             flag_addr=flag_addr,
             flag_value=flag_value,
         )
-        self._fifo.append(entry)
-        self._by_seq[entry.seq] = entry
+        self.live[entry.seq] = entry
         if kind is not EntryKind.PERSIST:
             self._order_entries += 1
-        occupancy = len(self._fifo) - self._tombstones
-        if occupancy > self.peak_occupancy:
-            self.peak_occupancy = occupancy
+        if len(self.live) > self.peak_occupancy:
+            self.peak_occupancy = len(self.live)
         return entry
 
     def get(self, seq: int) -> Optional[PBEntry]:
         """The live entry with sequence number *seq*, if any."""
-        return self._by_seq.get(seq)
+        return self.live.get(seq)
+
+    def head(self) -> Optional[PBEntry]:
+        """The oldest live entry."""
+        return next(iter(self.live.values()), None)
 
     def tail(self) -> Optional[PBEntry]:
         """The youngest live entry (for oFence coalescing)."""
-        for entry in reversed(self._fifo):
-            if not entry.evicted:
-                return entry
-        return None
+        return next(reversed(self.live.values()), None)
 
     # ------------------------------------------------------------------
     # removal
     # ------------------------------------------------------------------
-    def head(self) -> Optional[PBEntry]:
-        """The oldest live entry, discarding leading tombstones."""
-        while self._fifo and self._fifo[0].evicted:
-            tomb = self._fifo.popleft()
-            self._by_seq.pop(tomb.seq, None)
-            self._tombstones -= 1
-        return self._fifo[0] if self._fifo else None
-
     def pop_head(self) -> PBEntry:
         entry = self.head()
         if entry is None:
             raise IndexError("pop from empty persist buffer")
-        self._fifo.popleft()
-        self._by_seq.pop(entry.seq, None)
-        if entry.kind.is_order:
-            self._order_entries -= 1
+        self.remove(entry)
         return entry
 
     def remove(self, entry: PBEntry) -> None:
-        """Retire an entry in place (the drain scan removes entries from
-        anywhere; physical deque cleanup happens lazily at the head)."""
+        """Retire an entry from anywhere in the FIFO (the drain scan
+        retires entries past delayed ones)."""
         if entry.evicted:
             raise ValueError(f"entry {entry.seq} already removed")
         entry.evicted = True
-        self._tombstones += 1
-        self._by_seq.pop(entry.seq, None)
+        del self.live[entry.seq]
         if entry.kind is not EntryKind.PERSIST:
             self._order_entries -= 1
 
@@ -169,13 +161,13 @@ class PersistBuffer:
     def order_entry_before(self, seq: int) -> bool:
         """True when a live ordering entry precedes *seq* in the FIFO
         (the paper's eviction-legality check)."""
-        for entry in self._fifo:
+        for entry in self.live.values():
             if entry.seq >= seq:
                 break
-            if not entry.evicted and entry.kind.is_order:
+            if entry.kind.is_order:
                 return True
         return False
 
     def entries(self) -> List[PBEntry]:
         """Live entries in FIFO order (debug / test aid)."""
-        return [entry for entry in self._fifo if not entry.evicted]
+        return list(self.live.values())

@@ -74,6 +74,14 @@ class SBRPState:
         self.pump_scheduled = False
         #: Reused pump callback (one closure per SM, not per schedule).
         self.pump_cb = None
+        #: The held prefix the last drain pass left: the first
+        #: ``scan_len`` live entries (seq <= ``scan_seq``) were all
+        #: delayed, under hold mask ``scan_hold`` and FSM ``scan_fsm``
+        #: (see ``SBRPModel._pump`` for when the next pass may skip it).
+        self.scan_len = 0
+        self.scan_seq = 0
+        self.scan_hold = 0
+        self.scan_fsm = 0
 
     # ------------------------------------------------------------------
     # mask helpers
@@ -90,6 +98,30 @@ class SBRPState:
         """True when *slot* has an ordering point younger than *entry*,
         so its new store must not coalesce into that entry."""
         return self.last_order_seq[slot] > entry.seq
+
+    # ------------------------------------------------------------------
+    # held prefix of the drain scan
+    # ------------------------------------------------------------------
+    def drop_scan(self) -> None:
+        """Forget the held prefix: the next drain pass starts at the head."""
+        self.scan_len = self.scan_seq = self.scan_hold = self.scan_fsm = 0
+
+    def coalesce(self, entry: PBEntry, bit: int) -> None:
+        """OR warp *bit* into *entry*'s Warp BM (store or oFence
+        coalescing).  A new bit on a held entry widens the hold mask the
+        prefix was judged under, so it drops the prefix."""
+        if not entry.warp_mask & bit:
+            if entry.seq <= self.scan_seq:
+                self.drop_scan()
+            entry.warp_mask |= bit
+
+    def tombstone(self, entry: PBEntry) -> None:
+        """Remove a persist out of FIFO order (eviction bypass).  A held
+        entry's Warp BM is part of the prefix's hold mask, so removing
+        one drops the prefix."""
+        if entry.seq <= self.scan_seq:
+            self.drop_scan()
+        self.pb.tombstone(entry)
 
     # ------------------------------------------------------------------
     # acks

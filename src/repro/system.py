@@ -16,6 +16,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,10 +25,21 @@ from repro.common.config import SystemConfig
 from repro.common.errors import SimulationError
 from repro.common.stats import StatsRegistry
 from repro.memory.address_space import AddressSpace, Allocation
+from repro.memory.backing import check_word_aligned
 from repro.memory.namespace import NamespaceEntry, NamespaceTable
 from repro.gpu.device import GPU, KernelResult
 from repro.metrics.registry import NULL_METRICS, MetricsRegistry
 from repro.trace.tracer import NULL_TRACER, TraceConfig, Tracer
+
+
+def _word_addrs(alloc: Allocation, count: Optional[int]) -> range:
+    """Addresses of the region's first *count* words (default: all),
+    bounds- and alignment-checked once for the whole range."""
+    n = count if count is not None else alloc.size // 4
+    if n > 0:
+        alloc.word(n - 1)
+        check_word_aligned(alloc.base)
+    return range(alloc.base, alloc.base + 4 * n, 4)
 
 
 @dataclass(frozen=True)
@@ -156,18 +168,20 @@ class GPUSystem:
         return self.gpu.backing.read(addr)
 
     def read_words(self, alloc: Allocation, count: Optional[int] = None) -> np.ndarray:
-        n = count if count is not None else alloc.size // 4
+        """Read the (globally visible) value of the region's first
+        *count* words (default: all of them)."""
+        get = self.gpu.backing.visible.get
         return np.array(
-            [self.gpu.backing.read(alloc.word(i)) for i in range(n)], dtype=np.int64
+            list(map(get, _word_addrs(alloc, count), repeat(0))), dtype=np.int64
         )
 
     def durable_words(
         self, alloc: Allocation, count: Optional[int] = None
     ) -> np.ndarray:
         """Read the *durable* (crash-surviving) value of the region."""
-        n = count if count is not None else alloc.size // 4
-        image = self.gpu.subsystem.crash_image(self.now)
-        return np.array([image.get(alloc.word(i), 0) for i in range(n)], dtype=np.int64)
+        addrs = _word_addrs(alloc, count)
+        get = self.gpu.subsystem.crash_image(self.now).get
+        return np.array(list(map(get, addrs, repeat(0))), dtype=np.int64)
 
     # ------------------------------------------------------------------
     # execution

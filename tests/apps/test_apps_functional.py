@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro import GPUSystem, small_system
-from repro.apps import APPS, build_app
+from repro.apps import APPS, app_names, build_app
 from repro.apps.srad import reference as srad_reference
 
 SIZES = {
@@ -37,6 +37,15 @@ class TestRegistry:
         for name in APPS:
             style = build_app(name).recovery_style
             assert style == ("logging" if name in logging else "native")
+
+    def test_lazy_serve_app_stays_out_of_registry(self):
+        """Building the serve app must not add it to APPS: the Table 2
+        registry (and every test parametrized over it) would otherwise
+        depend on which test ran first."""
+        before = dict(APPS)
+        assert type(build_app("serve_kvs")).__name__ == "ServeKVS"
+        assert APPS == before
+        assert "serve_kvs" in app_names()
 
     def test_unknown_app_rejected(self):
         with pytest.raises(KeyError):

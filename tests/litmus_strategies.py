@@ -63,3 +63,38 @@ def random_litmus(draw):
                     draw(st.sampled_from(flags)), draw(st.sampled_from(SCOPES))
                 )
     return prog
+
+
+#: Multi-warp ops: writes dominate, so warps keep persists buffered.
+MULTI_WARP_OPS = ["w", "w", "w", "ofence", "ofence", "dfence", "prel", "pacq"]
+
+
+@st.composite
+def multi_warp_litmus(draw, max_threads=4):
+    """Programs for the timing simulator with several warps sharing an
+    SM: 2-4 threads (one warp each) over at most two blocks, doing PM
+    writes, oFences, dFences and releases.  Each release writes a fresh
+    flag and an acquire only waits on a flag an earlier thread
+    released, so every spin terminates."""
+    prog = LitmusProgram("multi-warp")
+    released = []
+    for _ in range(draw(st.integers(2, max_threads))):
+        thread = prog.thread(block=draw(st.integers(0, 1)))
+        for _ in range(draw(st.integers(1, 8))):
+            op = draw(st.sampled_from(MULTI_WARP_OPS))
+            if op == "w":
+                thread.w(
+                    draw(st.sampled_from(["pA", "pB", "pC", "pD"])),
+                    draw(st.integers(1, 9)),
+                )
+            elif op == "ofence":
+                thread.ofence()
+            elif op == "dfence":
+                thread.dfence()
+            elif op == "prel":
+                flag = f"{draw(st.sampled_from('pv'))}f{len(released)}"
+                thread.prel(flag, 1, draw(st.sampled_from(SCOPES)))
+                released.append(flag)
+            elif released:
+                thread.pacq(draw(st.sampled_from(released)), draw(st.sampled_from(SCOPES)))
+    return prog

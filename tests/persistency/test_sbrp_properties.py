@@ -63,7 +63,7 @@ def test_pbuffer_matches_reference_under_interleaving(data):
             live, probe
         )
 
-    # head() discards leading tombstones and agrees with the reference.
+    # head() agrees with the reference.
     assert pb.head() is (live[0] if live else None)
     # Sequence numbers stay strictly increasing in FIFO order.
     seqs = [e.seq for e in pb.entries()]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import CrashImage, GPUSystem, ModelName, small_system
-from repro.common.errors import SimulationError
+from repro.common.errors import MemoryError_, SimulationError
 
 
 @pytest.fixture
@@ -41,6 +41,48 @@ class TestHostIO:
         region = system.pm_create("r", 256)
         system.host_fill(region, 9)
         assert (system.read_words(region) == 9).all()
+
+
+class TestBulkReads:
+    """read_words / durable_words check bounds once for the whole range
+    and must agree word for word with the per-word paths."""
+
+    @pytest.mark.parametrize("read", ["read_words", "durable_words"])
+    def test_past_region_end_raises(self, system, read):
+        region = system.pm_create("r", 256)
+        with pytest.raises(MemoryError_):
+            getattr(system, read)(region, 256 // 4 + 1)
+
+    @pytest.mark.parametrize("read", ["read_words", "durable_words"])
+    def test_zero_count_is_empty_int64(self, system, read):
+        region = system.pm_create("r", 256)
+        got = getattr(system, read)(region, 0)
+        assert got.dtype == np.int64 and got.shape == (0,)
+
+    @pytest.mark.parametrize("read", ["read_words", "durable_words"])
+    def test_unwritten_words_read_zero(self, system, read):
+        region = system.pm_create("r", 256)
+        assert (getattr(system, read)(region) == 0).all()
+
+    def test_match_per_word_reads_on_partly_written_region(self, system):
+        region = system.pm_create("r", 2048)
+        system.host_write_words(region, [5, 6, 7])
+
+        def kernel(w, region):
+            # Every other word of the second half (128 threads); no
+            # sync, so some are visible but not yet durable.
+            yield w.st(region.base + 1024 + 8 * w.tid, w.tid + 100)
+
+        system.launch(kernel, 1, args=(region,))
+        n = region.size // 4
+        visible = [system.read_word(region.word(i)) for i in range(n)]
+        assert system.read_words(region).tolist() == visible
+        assert system.read_words(region, 7).tolist() == visible[:7]
+        image = system.crash().pm
+        durable = [image.get(region.word(i), 0) for i in range(n)]
+        assert system.durable_words(region).tolist() == durable
+        assert durable[:3] == [5, 6, 7] and visible[256] == 100
+        assert durable != visible
 
 
 class TestCrashReboot:
