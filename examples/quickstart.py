@@ -44,6 +44,7 @@ def main() -> None:
     print(f"crash at t={image.time:.0f}: {len(image.pm)} durable PM words")
 
     rebooted = GPUSystem.reboot(system, image)
+    system.close()  # the crashed machine is done; free it now
     data2 = rebooted.pm_open("quickstart.data")
     log2 = rebooted.pm_open("quickstart.log")
     values = rebooted.read_words(data2, n)
@@ -55,6 +56,7 @@ def main() -> None:
     print(f"after reboot: {int(updated.sum())}/{n} updates durable")
     pending = log_vals != 0
     print(f"{int(pending.sum())} updates were in flight (restorable from log)")
+    rebooted.close()
     print("quickstart OK")
 
 

@@ -27,19 +27,20 @@ def main() -> None:
 
     for fraction in (0.3, 0.6, 0.9):
         image = system.crash(at=system.now * fraction)
-        rebooted = GPUSystem.reboot(system, image)
-        app2 = build_app("reduction", **PARAMS)
-        app2.reopen(rebooted)
-        parr = rebooted.read_words(app2.parr, 32 * app2.n_warps)[::32]
-        survived = int((parr != 0).sum())
-        recovery = app2.recover(rebooted)
-        rebooted.sync()
-        app2.check(rebooted, complete=True)
-        print(
-            f"crash at {fraction:.0%}: {survived}/{app2.n_warps} warp "
-            f"partials survived; resumed in {recovery.cycles:.0f} cycles; "
-            f"final sum = {rebooted.read_word(app2.out.base)}"
-        )
+        with GPUSystem.reboot(system, image) as rebooted:
+            app2 = build_app("reduction", **PARAMS)
+            app2.reopen(rebooted)
+            parr = rebooted.read_words(app2.parr, 32 * app2.n_warps)[::32]
+            survived = int((parr != 0).sum())
+            recovery = app2.recover(rebooted)
+            rebooted.sync()
+            app2.check(rebooted, complete=True)
+            print(
+                f"crash at {fraction:.0%}: {survived}/{app2.n_warps} warp "
+                f"partials survived; resumed in {recovery.cycles:.0f} cycles; "
+                f"final sum = {rebooted.read_word(app2.out.base)}"
+            )
+    system.close()
     print("reduction_recovery OK")
 
 

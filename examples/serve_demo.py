@@ -40,6 +40,7 @@ def main() -> None:
     system.sync()
     image = system.crash(at=system.now * 0.6)
     rebooted = GPUSystem.reboot(system, image)
+    system.close()
     app2 = build_app("serve_kvs", **PARAMS)
     app2.reopen(rebooted)
     recovery = app2.recover(rebooted)
@@ -48,6 +49,7 @@ def main() -> None:
     # table must be *consistent* (no torn rows, no impossible versions)
     # but not necessarily caught up to the final planned version.
     app2.check(rebooted, complete=False)
+    rebooted.close()
     print(
         f"crash at 60%: recovered in {recovery.cycles:.0f} cycles; "
         "table consistent"

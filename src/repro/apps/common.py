@@ -21,10 +21,6 @@ def spin_pacq(w: WarpCtx, addr: int, scope: Scope) -> Generator:
 
         value = yield from spin_pacq(w, flag_addr, Scope.BLOCK)
     """
-    # One PAcq op reused across attempts: the SM only reads its fields,
-    # so re-yielding the same object is identical to rebuilding it.
-    op = w.pacq(addr, scope)
-    while True:
-        value = yield op
-        if value != 0:
-            return value
+    # Every released flag value is positive, so the SM spins the op in
+    # place until the flag reads >= 1 and resumes the kernel once.
+    return (yield w.pacq(addr, scope, until=1))

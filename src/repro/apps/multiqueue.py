@@ -110,10 +110,7 @@ class Multiqueue(App):
             if is_leader_warp:
                 # Tail persists only after every warp's entries.
                 for other in range(wpb):
-                    while True:
-                        got = yield w.pacq(flag_base + 4 * other, Scope.BLOCK)
-                        if got >= batch + 1:
-                            break
+                    yield w.pacq(flag_base + 4 * other, Scope.BLOCK, until=batch + 1)
                 new_tail = tail + self.batch_size
                 yield w.st(self.log_old.base + 4 * 32 * blk, tail + 1, mask=leader)
                 yield w.st(self.log_new.base + 4 * 32 * blk, new_tail, mask=leader)
@@ -129,10 +126,7 @@ class Multiqueue(App):
                 yield w.prel(commit_flag, batch + 1, Scope.BLOCK)
             else:
                 # Wait for the leader to commit before the next batch.
-                while True:
-                    got = yield w.pacq(commit_flag, Scope.BLOCK)
-                    if got >= batch + 1:
-                        break
+                yield w.pacq(commit_flag, Scope.BLOCK, until=batch + 1)
             tail += self.batch_size
 
     def _recover_kernel(self, w, p: MultiqueueParams):

@@ -111,11 +111,11 @@ def suite_cases(smoke: bool = False) -> List[PerfCase]:
 def _run_sim(case: PerfCase) -> Tuple[float, float]:
     assert case.model is not None and case.app is not None
     config = small_system(case.model, PMPlacement.FAR)
-    system = GPUSystem(config)
     app = build_app(case.app, **PERF_PARAMS[case.app])
-    app.setup(system)
-    app.run(system)
-    return system.now, float(system.gpu.engine.events_processed)
+    with GPUSystem(config) as system:
+        app.setup(system)
+        app.run(system)
+        return system.now, float(system.gpu.engine.events_processed)
 
 
 def _run_serve(case: PerfCase) -> Tuple[float, float]:
@@ -305,19 +305,14 @@ def _profile_case(case: PerfCase, cache_root: Optional[str], top: int) -> str:
         assert case.model is not None and case.app is not None
         config = small_system(case.model, PMPlacement.FAR)
         header = f"# profile {case.name} [engine={config.engine}]"
-        system = GPUSystem(config, trace=True)
         app = build_app(case.app, **PERF_PARAMS[case.app])
-        app.setup(system)
-        profile.enable()
-        app.run(system)
-        profile.disable()
-        return (
-            header
-            + "\n"
-            + system.trace_report()
-            + "\n"
-            + render_host_hotspots(profile, top=top)
-        )
+        with GPUSystem(config, trace=True) as system:
+            app.setup(system)
+            profile.enable()
+            app.run(system)
+            profile.disable()
+            report = system.trace_report()
+        return header + "\n" + report + "\n" + render_host_hotspots(profile, top=top)
     # Non-sim cases build their configs internally off the same default.
     engine = small_system(ModelName.SBRP).engine
     header = f"# profile {case.name} [engine={engine}]"

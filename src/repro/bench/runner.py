@@ -134,29 +134,29 @@ def run_scenario(
     attaches its unified snapshot to the result.
     """
     traced = trace or trace_dir is not None
-    system = GPUSystem(config, trace=traced, metrics=metrics)
-    app = build_app(app_name, **(app_params or {}))
-    app.setup(system)
-    outcome = app.run(system)
-    if verify:
-        system.sync()
-        app.check(system, complete=True)
-    profile: Optional[str] = None
-    if traced:
-        profile = system.trace_report()
-        if trace_dir is not None:
-            os.makedirs(trace_dir, exist_ok=True)
-            stem = os.path.join(
-                trace_dir,
-                scenario_stem(app_name, config, app_params, trace_tag),
-            )
-            system.write_trace(stem + ".trace.json")
-            system.write_trace_csv(stem + ".counters.csv")
-    return ScenarioResult(
-        app=app_name,
-        label=config.label,
-        cycles=outcome.cycles,
-        stats=system.stats.snapshot(),
-        profile=profile,
-        metrics=system.metrics_snapshot() if metrics else None,
-    )
+    with GPUSystem(config, trace=traced, metrics=metrics) as system:
+        app = build_app(app_name, **(app_params or {}))
+        app.setup(system)
+        outcome = app.run(system)
+        if verify:
+            system.sync()
+            app.check(system, complete=True)
+        profile: Optional[str] = None
+        if traced:
+            profile = system.trace_report()
+            if trace_dir is not None:
+                os.makedirs(trace_dir, exist_ok=True)
+                stem = os.path.join(
+                    trace_dir,
+                    scenario_stem(app_name, config, app_params, trace_tag),
+                )
+                system.write_trace(stem + ".trace.json")
+                system.write_trace_csv(stem + ".counters.csv")
+        return ScenarioResult(
+            app=app_name,
+            label=config.label,
+            cycles=outcome.cycles,
+            stats=system.stats.snapshot(),
+            profile=profile,
+            metrics=system.metrics_snapshot() if metrics else None,
+        )

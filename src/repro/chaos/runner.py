@@ -228,6 +228,7 @@ def run_soak_scenario(
                 }
             )
             if classification != CONSISTENT:
+                rebooted.close()
                 failure = {
                     "stage": "oracle",
                     "batch": index,
@@ -235,6 +236,7 @@ def run_soak_scenario(
                     "error": error,
                 }
                 break
+            system.close()
             system = rebooted
             replayed.add(index)
             continue  # replay the in-flight batch on the recovered machine
@@ -298,7 +300,7 @@ def run_soak_scenario(
         "injected": dict(sorted(injected.items())),
         "failure": failure,
     }
-    return ScenarioResult(
+    result = ScenarioResult(
         app=app_name,
         label=config.label,
         cycles=total_time,
@@ -306,3 +308,5 @@ def run_soak_scenario(
         detail=detail,
         metrics=system.metrics_snapshot(),
     )
+    system.close()
+    return result

@@ -74,6 +74,13 @@ class CrashHarness:
             self._baseline_app = app
         return self._baseline
 
+    def close(self) -> None:
+        """Free the baseline machine; a later crash re-runs it."""
+        if self._baseline is not None:
+            self._baseline.close()
+            self._baseline = None
+            self._baseline_app = None
+
     @property
     def run_cycles(self) -> float:
         self.baseline()
@@ -151,35 +158,35 @@ class CrashHarness:
     # recovery on a fresh machine
     # ------------------------------------------------------------------
     def _recover_from(self, image: CrashImage, complete: bool) -> CrashReport:
-        rebooted = GPUSystem(self.config, pm_image=image)
-        app = self.factory()
-        app.reopen(rebooted)
-        recovery = app.recover(rebooted)
-        rebooted.sync()
-        report = CrashReport(
-            crash_time=image.time,
-            run_cycles=self.run_cycles,
-            recovery_cycles=recovery.cycles,
-            consistent=True,
-            completed=False,
-        )
-        try:
-            app.check(rebooted, complete=False)
-        except RecoveryError as exc:
-            report.consistent = False
-            report.error = str(exc)
-            return report
-        if complete:
-            # Forward progress: re-running the workload must finish the
-            # job from the recovered state.
-            app.run(rebooted)
+        with GPUSystem(self.config, pm_image=image) as rebooted:
+            app = self.factory()
+            app.reopen(rebooted)
+            recovery = app.recover(rebooted)
             rebooted.sync()
+            report = CrashReport(
+                crash_time=image.time,
+                run_cycles=self.run_cycles,
+                recovery_cycles=recovery.cycles,
+                consistent=True,
+                completed=False,
+            )
             try:
-                app.check(rebooted, complete=True)
-                report.completed = True
+                app.check(rebooted, complete=False)
             except RecoveryError as exc:
+                report.consistent = False
                 report.error = str(exc)
-        return report
+                return report
+            if complete:
+                # Forward progress: re-running the workload must finish the
+                # job from the recovered state.
+                app.run(rebooted)
+                rebooted.sync()
+                try:
+                    app.check(rebooted, complete=True)
+                    report.completed = True
+                except RecoveryError as exc:
+                    report.error = str(exc)
+            return report
 
     def recovery_cycles_at_worst_case(self) -> float:
         """Recovery runtime for the paper's Figure 11 scenario: crash at

@@ -19,7 +19,6 @@ Submission semantics:
 from __future__ import annotations
 
 import argparse
-import gc
 import time
 from dataclasses import dataclass
 from typing import (
@@ -68,17 +67,12 @@ def execute_job_payload(payload: dict) -> dict:
     Module-level so it stays importable under every multiprocessing
     start method.
 
-    Ends with a full collection.  A finished ``GPU`` is cyclic garbage
-    (SM <-> GPU back-references, bound-method callbacks, suspended warp
-    generators), so only the cycle collector frees it, and how often its
-    oldest generation runs depends on how many objects other code
-    allocates.  Collecting here frees each job's machines at the job
-    boundary, so a process's peak memory is one job's, not however many
-    machines pile up between generation-2 passes.
+    Every job mode closes each machine it builds when done with it
+    (:meth:`repro.system.GPUSystem.close`), so the machines die by
+    refcount at the job boundary and a process's peak memory is one
+    job's, with no cycle collection between jobs.
     """
-    result = ScenarioJob.from_json(payload).execute().to_json()
-    gc.collect()
-    return result
+    return ScenarioJob.from_json(payload).execute().to_json()
 
 
 def error_class(outcome: JobOutcome) -> Optional[str]:

@@ -279,7 +279,10 @@ class ScenarioJob:
         harness = CrashHarness(
             lambda: build_app(self.app, **dict(self.app_params)), self.config
         )
-        cycles = harness.recovery_cycles_at_worst_case()
+        try:
+            cycles = harness.recovery_cycles_at_worst_case()
+        finally:
+            harness.close()
         return ScenarioResult(
             app=self.app,
             label=self.config.label,

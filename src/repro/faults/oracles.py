@@ -120,15 +120,19 @@ def recover_and_classify(
     app = build_app(app_name, **app_params)
     try:
         rebooted = GPUSystem(config, pm_image=image)
-        app.reopen(rebooted)
-        app.recover(rebooted)
-        rebooted.sync()
     except ReproError as exc:
         return RECOVERY_RAISED, describe(exc)
-    try:
-        app.oracle_check(rebooted, complete=False)
-    except OracleViolation as exc:
-        return APP_VIOLATION, describe(exc)
+    with rebooted:
+        try:
+            app.reopen(rebooted)
+            app.recover(rebooted)
+            rebooted.sync()
+        except ReproError as exc:
+            return RECOVERY_RAISED, describe(exc)
+        try:
+            app.oracle_check(rebooted, complete=False)
+        except OracleViolation as exc:
+            return APP_VIOLATION, describe(exc)
     return CONSISTENT, None
 
 

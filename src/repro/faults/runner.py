@@ -134,6 +134,7 @@ def run_fault_scenario(
             points.append(
                 {"time": t, "classification": classification, "error": error}
             )
+    system.close()
 
     # Phase 3: fold into outcome + verdict + minimized reproducer.
     point_counts: Dict[str, int] = {}

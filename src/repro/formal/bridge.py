@@ -92,7 +92,20 @@ def simulate_program(
     if config is None:
         config = base_config(program, model)
     system = GPUSystem(config, faults=faults, model_factory=model_factory)
+    try:
+        return _observe(system, program, blocks, crash_points, thread_order)
+    finally:
+        system.close()
 
+
+def _observe(
+    system: GPUSystem,
+    program: LitmusProgram,
+    blocks: List[int],
+    crash_points: int,
+    thread_order: Optional[Sequence[int]],
+) -> SimulationObservation:
+    """Lay *program* out on *system*, run it, and sweep its crash images."""
     locations = sorted(
         {e.loc for e in program.events() if e.loc is not None}
     )
@@ -146,10 +159,8 @@ def simulate_program(
             elif event.kind is EventKind.PREL:
                 yield w.prel(addr[event.loc], event.value, event.scope)
             elif event.kind is EventKind.PACQ:
-                while True:
-                    got = yield w.pacq(addr[event.loc], event.scope)
-                    if got != 0:
-                        break
+                # Spin until released (validate() keeps flag values > 0).
+                got = yield w.pacq(addr[event.loc], event.scope, until=1)
                 observation.reads_from[event.eid] = release_of_value.get(
                     (event.loc, got)
                 )

@@ -137,6 +137,15 @@ class LitmusProgram:
         for rel in self.releases():
             if rel.loc is None:
                 raise LitmusError("release without a location")
+        # An acquire spins until its flag reads positive (0 = not yet
+        # released), so a flag that only ever gets 0 or less would hang.
+        acquired = {acq.loc for acq in self.acquires()}
+        for event in self.events():
+            if event._writes and event.loc in acquired and event.value <= 0:
+                raise LitmusError(
+                    f"{event!r} stores {event.value} to acquired flag "
+                    f"{event.loc!r}; acquires wait for a positive value"
+                )
         return self
 
     def op_count(self) -> int:

@@ -103,6 +103,28 @@ class GPU:
         self._pending_blocks: Deque[int] = deque()
         self._live_blocks: Dict[int, _Block] = {}
         self._launch_ctx: Optional[Dict[str, Any]] = None
+        self._closed = False
+
+    def close(self) -> None:
+        """Free the machine by refcount once its owner is done with it.
+
+        A live GPU is cyclic (SM <-> GPU, the SMs' bound issue callbacks
+        in the engine queue, the model's per-SM pump closures, suspended
+        warp generators), so without this only a full cycle collection
+        frees it.  Idempotent; a closed GPU refuses to launch or sync.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        self.engine.close()
+        for sm in self.sms:
+            sm.close()
+        self.model.close()
+        self.sms = []
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise SimulationError("this machine is closed")
 
     # ------------------------------------------------------------------
     # kernel launch
@@ -123,6 +145,7 @@ class GPU:
         ``drain=True`` the launch additionally waits for every buffered
         persist to reach the persistence domain (host sync semantics).
         """
+        self._check_open()
         if self._launch_ctx is not None:
             raise SimulationError("a kernel launch is already in progress")
         if grid_blocks < 1:
@@ -178,6 +201,7 @@ class GPU:
         """Host-side synchronize-and-persist: drain every SM's buffered
         persists to the persistence domain (event-driven, so SMs drain
         concurrently).  Returns the completion time."""
+        self._check_open()
         for sm in self.sms:
             self.model.begin_drain(sm, self.engine.now)
         self.engine.run(

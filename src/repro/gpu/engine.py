@@ -133,6 +133,12 @@ class Engine:
     def pending(self) -> int:
         return len(self._queue)
 
+    def close(self) -> None:
+        """Drop every queued callback and the diagnostics hook: both are
+        bound to the components that own this engine."""
+        self._queue.clear()
+        self.watchdog_diagnostics = None
+
     def reset(self) -> None:
         self.now = 0.0
         self._queue.clear()
@@ -238,6 +244,10 @@ class FastEngine(Engine):
 
     def pending(self) -> int:
         return len(self._queue) + len(self._fifo)
+
+    def close(self) -> None:
+        super().close()
+        self._fifo.clear()
 
     def reset(self) -> None:
         super().reset()

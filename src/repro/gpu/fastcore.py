@@ -207,14 +207,26 @@ class FastSM(SM):
         self._slots_cache = None
         super().remove_block(block_key)
 
+    def close(self) -> None:
+        super().close()
+        self._issue_cb = None  # a bound method: SM -> itself
+
     def kick(self, now: float) -> None:
         if self._issue_pending:
             return
-        ready = WarpState.READY
+        # when = max(now, next issue slot, earliest ready time): a ready
+        # warp at or before the first two terms already fixes it, so the
+        # min-scan stops there.
+        floor = self._next_issue_free
+        if now > floor:
+            floor = now
         best = None
         for w in self.warps.values():
-            if w.state is ready:
+            if w.state is _READY:
                 rt = w.ready_time
+                if rt <= floor:
+                    best = floor
+                    break
                 if best is None or rt < best:
                     best = rt
         if best is None:
@@ -231,20 +243,6 @@ class FastSM(SM):
             engine._fifo.append((engine.now, engine._seq, self._issue_cb))
         else:
             heappush(engine._queue, (when, engine._seq, self._issue_cb))
-
-    def _pick_warp(self, now: float) -> Optional[Warp]:
-        warps = self._warp_list()
-        n = len(warps)
-        if not n:
-            return None
-        rr = self._rr
-        ready = WarpState.READY
-        for i in range(n):
-            warp = warps[(rr + i) % n]
-            if warp.state is ready and warp.ready_time <= now:
-                self._rr = (rr + i + 1) % n
-                return warp
-        return None
 
     def _warp_list(self) -> List[Warp]:
         if self._slots_cache is None:
@@ -271,17 +269,26 @@ class FastSM(SM):
         warp = None
         n = len(wl)
         if n:
+            # Round-robin from the slot after the last issuer: the tail
+            # of the slot list, then its head.
             rr = self._rr
-            ready = WarpState.READY
-            for i in range(n):
-                w = wl[(rr + i) % n]
-                if w.state is ready and w.ready_time <= now:
-                    self._rr = (rr + i + 1) % n
+            if rr >= n:
+                rr %= n
+            for i in range(rr, n):
+                w = wl[i]
+                if w.state is _READY and w.ready_time <= now:
                     warp = w
                     break
+            else:
+                for i in range(rr):
+                    w = wl[i]
+                    if w.state is _READY and w.ready_time <= now:
+                        warp = w
+                        break
         if warp is None:
             self.kick(now)
             return
+        self._rr = (i + 1) % n
         self._next_issue_free = now + self._issue_quantum
         op = warp.retry_op
         if op is None:
@@ -317,19 +324,25 @@ class FastSM(SM):
             else:
                 handler(self, warp, op, now)
         # Trailing kick(), inlined: runs once per issued instruction.
+        # The next issue slot is past now, so a warp ready by then fixes
+        # ``when`` and ends the scan.
         if self._issue_pending:
             return
+        nif = self._next_issue_free
         best = None
         for w in wl:
-            if w.state is ready:
+            if w.state is _READY:
                 rt = w.ready_time
+                if rt <= nif:
+                    best = nif
+                    break
                 if best is None or rt < best:
                     best = rt
         if best is None:
             return
         when = best if best > now else now
-        if self._next_issue_free > when:
-            when = self._next_issue_free
+        if nif > when:
+            when = nif
         self._issue_pending = True
         engine = self.engine
         engine._seq += 1
@@ -396,7 +409,8 @@ class FastSM(SM):
             # the model call is skipped outright and the reference
             # backoff/complete arithmetic collapses to one add.
             self._counters["sm.pacq_spins"] += 1.0
-            warp.retry_op = None
+            until = op.until
+            warp.retry_op = op if until is not None and until > 0 else None
             warp.state = _READY
             warp.ready_time = now + self._spin_delta
             warp.send_value = 0
@@ -410,6 +424,8 @@ class FastSM(SM):
             self._block(warp, op)
             return
         self._complete(warp, now, outcome.at, value)
+        if op.until is not None and value < op.until:
+            warp.retry_op = op  # stale read: keep spinning in place
 
     # ------------------------------------------------------------------
     # loads

@@ -124,10 +124,18 @@ class DFence(Op):
 
 @dataclass(slots=True)
 class PAcq(Op):
-    """Scoped persist acquire on one flag word; returns its value."""
+    """Scoped persist acquire on one flag word; returns its value.
+
+    With *until* set, the op is a spin: the SM re-issues it in place
+    (one issue slot per attempt, the generator untouched) while the flag
+    reads below *until*, and the kernel receives the first value that is
+    not.  Every attempt is priced exactly like a freshly yielded
+    ``PAcq``.
+    """
 
     addr: int
     scope: Scope
+    until: Optional[int] = None
 
 
 @dataclass(slots=True)

@@ -103,6 +103,12 @@ class SM:
         for slot in [s for s, w in self.warps.items() if w.block_key == block_key]:
             del self.warps[slot]
 
+    def close(self) -> None:
+        """Finish suspended kernels: their frames may reference the
+        machine (a kernel closure over its ``GPUSystem``)."""
+        for warp in self.warps.values():
+            warp.gen.close()
+
     def active_warps(self) -> int:
         return sum(1 for w in self.warps.values() if w.state is not WarpState.DONE)
 
@@ -406,6 +412,10 @@ class SM:
             at = max(at, now + self.config.gpu.spin_backoff_cycles)
             self.stats.add("sm.pacq_spins")
         self._complete(warp, now, at, int(value))
+        if op.until is not None and value < op.until:
+            # Spin in place: the next issue re-runs this op, and the
+            # kernel resumes only with the value that ends the spin.
+            warp.retry_op = op
 
     # ------------------------------------------------------------------
     # block barrier

@@ -121,8 +121,12 @@ class WarpCtx:
     def dfence(self) -> DFence:
         return DFence()
 
-    def pacq(self, addr: int, scope: Scope = Scope.BLOCK) -> PAcq:
-        return PAcq(int(addr), scope)
+    def pacq(
+        self, addr: int, scope: Scope = Scope.BLOCK, until: Optional[int] = None
+    ) -> PAcq:
+        """Persist acquire; with *until*, spin until the flag reaches it
+        (see :class:`~repro.gpu.ops.PAcq`)."""
+        return PAcq(int(addr), scope, None if until is None else int(until))
 
     def prel(self, addr: int, value: int, scope: Scope = Scope.BLOCK) -> PRel:
         return PRel(int(addr), int(value), scope)
@@ -161,7 +165,9 @@ class Warp:
         #: Value to send into the generator on next resume.
         self.send_value: Any = None
         #: An op that must be re-processed instead of resuming the
-        #: generator (stores stalled by the persistency model).
+        #: generator: one the persistency model stalled (a store, fence
+        #: or release resumes where it left off) or a spin ``PAcq`` whose
+        #: flag is still below its ``until``.
         self.retry_op: Optional[Op] = None
         self.block_key = block_key
 

@@ -64,24 +64,24 @@ def sim_fingerprint(
     config = replace(
         small_system(ModelName(model), PMPlacement.FAR), engine=engine
     )
-    system = GPUSystem(config, metrics=True)
     app_obj = build_app(app, **dict(params))
-    try:
-        app_obj.setup(system)
-        app_obj.run(system)
-        system.sync()
-    except Exception as err:  # noqa: BLE001 - wedges must match too
-        return {"error": f"{type(err).__name__}: {err}"}
-    image = system.crash()
-    return {
-        "cycles": system.total_cycles(),
-        "events": int(system.stat("engine.events_processed")),
-        "stats": dict(sorted(system.stats.snapshot().items())),
-        "crash_image_sha256": sha256_of(
-            {str(addr): value for addr, value in sorted(image.pm.items())}
-        ),
-        "metrics_snapshot_sha256": sha256_of(system.metrics_snapshot()),
-    }
+    with GPUSystem(config, metrics=True) as system:
+        try:
+            app_obj.setup(system)
+            app_obj.run(system)
+            system.sync()
+        except Exception as err:  # noqa: BLE001 - wedges must match too
+            return {"error": f"{type(err).__name__}: {err}"}
+        image = system.crash()
+        return {
+            "cycles": system.total_cycles(),
+            "events": int(system.stat("engine.events_processed")),
+            "stats": dict(sorted(system.stats.snapshot().items())),
+            "crash_image_sha256": sha256_of(
+                {str(addr): value for addr, value in sorted(image.pm.items())}
+            ),
+            "metrics_snapshot_sha256": sha256_of(system.metrics_snapshot()),
+        }
 
 
 # ----------------------------------------------------------------------

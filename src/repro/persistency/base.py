@@ -58,6 +58,10 @@ class PersistencyModel(abc.ABC):
     def init_sm(self, sm: "SM") -> None:
         """Create per-SM state (masks, buffers).  Default: none."""
 
+    def close(self) -> None:
+        """Drop per-SM state that points back at the SMs (callbacks,
+        waiting warps) when the machine is torn down.  Default: none."""
+
     # ------------------------------------------------------------------
     # hooks (all abstract)
     # ------------------------------------------------------------------

@@ -64,6 +64,10 @@ class SBRPModel(PersistencyModel):
             max_warps=self.config.gpu.max_warps_per_sm,
         )
 
+    def close(self) -> None:
+        # Pump closures and waiter lists reference the SMs.
+        self.states.clear()
+
     # ==================================================================
     # persist operation
     # ==================================================================

@@ -88,7 +88,10 @@ def run_serve_scenario(
     recovery_cycles = 0.0
     if measure_recovery:
         harness = CrashHarness(lambda: build_app(app_name, **params), config)
-        recovery_cycles = harness.recovery_cycles_at_worst_case()
+        try:
+            recovery_cycles = harness.recovery_cycles_at_worst_case()
+        finally:
+            harness.close()
 
     paths = app.path_counts()
     stats: Dict[str, float] = {
@@ -109,7 +112,7 @@ def run_serve_scenario(
         "mix": params.get("mix", "update_heavy"),
         "batches": batch_rows,
     }
-    return ScenarioResult(
+    result = ScenarioResult(
         app=app_name,
         label=config.label,
         cycles=outcome.cycles,
@@ -117,3 +120,5 @@ def run_serve_scenario(
         detail=detail,
         metrics=system.metrics_snapshot(),
     )
+    system.close()
+    return result

@@ -10,7 +10,10 @@ Typical use::
     result = sys.launch(my_kernel, grid_blocks=4, args=(data,))
     image = sys.crash()                    # power failure "now"
     sys2 = GPUSystem.reboot(sys, image)    # fresh machine, durable PM
+    sys.close()                            # free the crashed machine
     recovered = sys2.pm_open("my-data")
+
+``GPUSystem`` is also a context manager that closes the machine on exit.
 """
 
 from __future__ import annotations
@@ -88,6 +91,38 @@ class GPUSystem:
         if pm_image is not None:
             self.gpu.backing.load_pm_image(pm_image.pm)
             self.namespace.restore(pm_image.namespace, self.space)
+
+    # ------------------------------------------------------------------
+    # lifetime
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Tear the machine down now, so refcounting frees it.
+
+        Read everything you need (stats, metrics, crash images, traces)
+        first: afterwards every use of this object raises
+        :class:`SimulationError`.  Idempotent.  ``with GPUSystem(cfg) as
+        system:`` closes on exit.
+        """
+        gpu = self.__dict__.get("gpu")
+        if gpu is not None:
+            gpu.close()
+        self.__dict__.clear()
+        self._closed = True
+
+    def __enter__(self) -> "GPUSystem":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only when normal lookup fails, which for a constructed
+        # machine means close() dropped its state.
+        if self.__dict__.get("_closed"):
+            raise SimulationError(f"GPUSystem is closed (tried to use {name!r})")
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
 
     @staticmethod
     def _resolve_tracer(trace: "Tracer | TraceConfig | bool | None") -> Tracer:
@@ -284,4 +319,6 @@ class GPUSystem:
         return profile_tracer(self.tracer, config=self.config, cycles=self.now)
 
     def __repr__(self) -> str:
+        if self.__dict__.get("_closed"):
+            return "GPUSystem(closed)"
         return f"GPUSystem({self.config.label}, t={self.now:.0f})"

@@ -6,7 +6,12 @@ import gc
 import pytest
 
 from repro.bench.runner import ScenarioResult
-from repro.common.config import ModelName, PMPlacement, small_system
+from repro.common.config import (
+    ModelName,
+    PMPlacement,
+    ResilienceConfig,
+    small_system,
+)
 from repro.exec import (
     Executor,
     JobFailedError,
@@ -14,6 +19,14 @@ from repro.exec import (
     ScenarioJob,
     execute_job_payload,
 )
+from repro.exec.jobs import (
+    MODE_CHECK,
+    MODE_FAULTS,
+    MODE_RECOVERY,
+    MODE_SERVE,
+    MODE_SOAK,
+)
+from repro.faults.plans import PowerCutPlan
 from repro.trace.tracer import TraceConfig, Tracer
 
 #: Tiny configs keep every executor test sub-second per simulation.
@@ -24,6 +37,89 @@ _CFG_FAR = small_system(ModelName.SBRP, PMPlacement.FAR)
 def _job(app="reduction", config=_CFG, **params) -> ScenarioJob:
     params = params or {"blocks": 2, "per_thread": 1}
     return ScenarioJob(app=app, config=config, app_params=params)
+
+
+def _leaked_machines(job: ScenarioJob) -> list:
+    """``GPU`` objects still alive after running *job* with the cycle
+    collector off."""
+    from repro.gpu.device import GPU
+
+    gc.collect()
+    alive = [o for o in gc.get_objects() if isinstance(o, GPU)]
+    gc.disable()
+    try:
+        execute_job_payload(job.to_json())
+        return [
+            o
+            for o in gc.get_objects()
+            if isinstance(o, GPU) and not any(o is a for a in alive)
+        ]
+    finally:
+        gc.enable()
+
+
+def _check_job() -> ScenarioJob:
+    from repro.check.enumerator import SMOKE_VARIANTS
+    from repro.check.fuzzer import generate_stream
+
+    return ScenarioJob(
+        app="conformance",
+        config=_CFG,
+        mode=MODE_CHECK,
+        verify=False,
+        check={
+            "programs": [p.to_json() for p in generate_stream(3, 2)],
+            "model": "sbrp",
+            "mutant": None,
+            "variants": [v.to_json() for v in SMOKE_VARIANTS[:1]],
+            "crash_points": 16,
+        },
+    )
+
+
+def _soak_job() -> ScenarioJob:
+    from repro.chaos import soak
+
+    return ScenarioJob(
+        app="serve_kvs",
+        config=dataclasses.replace(
+            _CFG, resilience=ResilienceConfig(enabled=True)
+        ),
+        app_params=dict(soak.SOAK_PARAMS),
+        mode=MODE_SOAK,
+        soak={
+            "timeline": soak.brownout_burst().to_json(),
+            "crash_every_batches": 2,
+            "crash_fraction": 0.6,
+        },
+    )
+
+
+def _serve_job() -> ScenarioJob:
+    from repro.serve.bench import SMOKE_PARAMS
+
+    return ScenarioJob(
+        app="serve_kvs",
+        config=_CFG,
+        app_params={"policy": "adaptive", **SMOKE_PARAMS},
+        mode=MODE_SERVE,
+    )
+
+
+#: One small job per measurement mode (scenario is the plain ``_job``).
+_MODE_JOBS = {
+    "recovery": lambda: dataclasses.replace(_job(), mode=MODE_RECOVERY),
+    "faults": lambda: ScenarioJob(
+        app="gpkvs",
+        config=_CFG,
+        app_params=dict(n_pairs=64, capacity=128, rounds=2),
+        mode=MODE_FAULTS,
+        fault=PowerCutPlan().to_json(),
+    ),
+    "check": _check_job,
+    "soak": _soak_job,
+    "serve": _serve_job,
+}
 
 
 class TestDedupe:
@@ -164,21 +260,14 @@ class TestWorkerPayload:
         assert result == job.execute()
 
     def test_machines_die_with_their_job(self):
-        # A finished GPU is cyclic garbage; the payload runner must free
-        # it at the job boundary rather than leave it to whenever the
-        # collector's oldest generation next runs.
-        from repro.gpu.device import GPU
+        # Every machine a job builds is closed when the job is done with
+        # it, so it dies by refcount at the job boundary instead of
+        # waiting for the collector's oldest generation.
+        assert _leaked_machines(_job()) == []
 
-        gc.collect()
-        alive = [o for o in gc.get_objects() if isinstance(o, GPU)]
-        gc.disable()
-        try:
-            execute_job_payload(_job().to_json())
-            leaked = [
-                o
-                for o in gc.get_objects()
-                if isinstance(o, GPU) and not any(o is a for a in alive)
-            ]
-        finally:
-            gc.enable()
-        assert leaked == []
+    @pytest.mark.parametrize("mode", sorted(_MODE_JOBS))
+    def test_every_job_mode_frees_its_machines(self, mode):
+        job = _MODE_JOBS[mode]()
+        execute_job_payload(job.to_json())  # warm every lazy import
+        assert _leaked_machines(job) == []
+

@@ -141,3 +141,21 @@ class TestBridge:
     def test_simulate_litmus_reaches_final_state(self):
         images = simulate_litmus(LITMUS_TESTS["mp_ofence"], ModelName.SBRP)
         assert {"pData": 1, "pFlag": 1} in images
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_flag_value_is_rejected(self, value):
+        # The simulator spins an acquire until its flag reads positive,
+        # so a flag that can only read <= 0 must fail fast, not hang.
+        from repro.common.errors import LitmusError
+        from repro.formal.bridge import simulate_program
+
+        prog = LitmusProgram()
+        prog.thread(block=0).w("pA", 1).prel("vF", value, Scope.DEVICE)
+        prog.thread(block=1).pacq("vF", Scope.DEVICE).w("pB", 1)
+        with pytest.raises(LitmusError, match="positive"):
+            simulate_program(prog)
+
+    def test_unacquired_location_may_hold_zero(self):
+        prog = LitmusProgram()
+        prog.thread(block=0).w("pA", 0).prel("vF", 1, Scope.DEVICE)
+        assert prog.validate() is prog

@@ -1,9 +1,11 @@
 """GPUSystem facade: allocation, host IO, crash/reboot lifecycle."""
 
+import gc
+
 import numpy as np
 import pytest
 
-from repro import CrashImage, GPUSystem, ModelName, small_system
+from repro import CrashImage, GPUSystem, ModelName, Scope, small_system
 from repro.common.errors import MemoryError_, SimulationError
 
 
@@ -158,3 +160,107 @@ class TestBookkeeping:
 
     def test_repr_mentions_label(self, system):
         assert "SBRP-far" in repr(system)
+
+
+def system_warps_per_block():
+    return small_system(ModelName.SBRP).gpu.warps_per_block
+
+
+class TestClose:
+    """``close()`` frees a machine by refcount; a closed one refuses use."""
+
+    def finished_sbrp_machine(self):
+        system = GPUSystem(small_system(ModelName.SBRP))
+        region = system.pm_create("data", 4096)
+        flag = system.malloc(128).base
+
+        def kernel(w, region):
+            yield w.st(region.base + 4 * w.tid, w.tid + 1)
+            if w.warp_in_block == 0:
+                yield w.prel(flag, 1, Scope.BLOCK)
+            else:
+                yield w.pacq(flag, Scope.BLOCK, until=1)
+            yield w.ofence()
+
+        system.launch(kernel, 2, args=(region,))
+        system.sync()
+        return system
+
+    def test_closed_machine_leaves_no_cyclic_garbage(self):
+        self.finished_sbrp_machine().close()  # warm every lazy import
+        gc.collect()
+        gc.disable()
+        try:
+            system = self.finished_sbrp_machine()
+            system.close()
+            del system
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_close_finishes_suspended_kernels(self):
+        system = GPUSystem(small_system(ModelName.SBRP), max_cycles=2000)
+        flag = system.malloc(128).base
+        closed = []
+
+        def kernel(w):
+            try:
+                yield w.pacq(flag, Scope.BLOCK, until=1)  # never released
+            finally:
+                closed.append(w.warp_in_block)
+
+        with pytest.raises(SimulationError, match="cycle budget"):
+            system.launch(kernel, 1)
+        assert closed == []
+        system.close()
+        assert sorted(closed) == list(range(system_warps_per_block()))
+
+    def test_context_manager_closes(self):
+        with GPUSystem(small_system(ModelName.SBRP)) as system:
+            system.malloc(128)
+        with pytest.raises(SimulationError, match="closed"):
+            system.malloc(128)
+
+    def test_close_is_idempotent(self, system):
+        system.close()
+        system.close()
+        assert repr(system) == "GPUSystem(closed)"
+
+    @pytest.mark.parametrize(
+        "use",
+        [
+            lambda s: s.launch(lambda w: iter(()), 1),
+            lambda s: s.sync(),
+            lambda s: s.crash(),
+            lambda s: s.now,
+            lambda s: s.malloc(128),
+            lambda s: s.pm_create("r", 128),
+            lambda s: s.read_word(0),
+            lambda s: s.host_write(0, 1),
+            lambda s: s.stat("kernel.launches"),
+            lambda s: s.metrics_snapshot(),
+            lambda s: s.total_cycles(),
+            lambda s: s.config,
+            lambda s: s.gpu,
+            lambda s: GPUSystem.reboot(s, None),
+        ],
+        ids=[
+            "launch", "sync", "crash", "now", "malloc", "pm_create",
+            "read_word", "host_write", "stat", "metrics_snapshot",
+            "total_cycles", "config", "gpu", "reboot",
+        ],
+    )
+    def test_any_use_after_close_raises_simulation_error(self, use):
+        system = self.finished_sbrp_machine()
+        system.close()
+        with pytest.raises(SimulationError, match="closed"):
+            use(system)
+
+    def test_closed_gpu_refuses_to_launch(self):
+        system = self.finished_sbrp_machine()
+        gpu = system.gpu
+        system.close()
+        with pytest.raises(SimulationError, match="closed"):
+            gpu.launch(lambda w: iter(()), 1)
+        with pytest.raises(SimulationError, match="closed"):
+            gpu.sync()
