@@ -1,8 +1,9 @@
 """Golden-trace management: check and regenerate the pinned traces.
 
 ``tests/perfcore/golden_traces.json`` pins the exact end-to-end
-behaviour (cycles, events, stats, crash-image and metrics hashes) of
-every sim grid case.  The *only* legitimate way that file changes is a
+behaviour of every sim grid case (cycles, events, stats, crash-image
+and metrics hashes) and of every serve grid cell (cycles, stats
+including ``serve.recovery_cycles``, detail and metrics hashes).  The *only* legitimate way that file changes is a
 deliberate re-pin from the **reference engine** — the oracle the fast
 cores are proven against — so this CLI owns the file:
 
@@ -31,30 +32,51 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.perfcore.fingerprint import diff_paths, sim_fingerprint
-from repro.perfcore.grid import GRID_MODELS, SIM_PARAMS
+from repro.perfcore.fingerprint import (
+    diff_paths,
+    serve_fingerprint,
+    sim_fingerprint,
+)
+from repro.perfcore.grid import GRID_MODELS, SERVE_PARAMS, SIM_PARAMS
 
 #: Default location, relative to the repository root / CI cwd.
 DEFAULT_PATH = Path("tests") / "perfcore" / "golden_traces.json"
 
 
+def case_fingerprint(case: Dict[str, Any], engine: str) -> Dict[str, Any]:
+    """Re-run one pinned case on *engine*: a serve cell (``kind`` is
+    ``"serve"``) or, by default, a sim case."""
+    if case.get("kind") == "serve":
+        return serve_fingerprint(case["model"], case["app_params"], engine)
+    return sim_fingerprint(case["model"], case["app"], case["app_params"], engine)
+
+
 def reference_cases() -> Dict[str, Dict[str, Any]]:
-    """Every sim grid case, fingerprinted on the reference engine."""
-    cases: Dict[str, Dict[str, Any]] = {}
+    """Every sim case and serve cell, fingerprinted on the reference
+    engine."""
+    specs: Dict[str, Dict[str, Any]] = {}
     for model in GRID_MODELS:
         for app, params in SIM_PARAMS.items():
-            fp = sim_fingerprint(model.value, app, params, "reference")
-            if "error" in fp:
-                raise RuntimeError(
-                    f"reference run failed for {model.value}.{app}: "
-                    f"{fp['error']}"
-                )
-            cases[f"{model.value}.{app}"] = {
+            specs[f"{model.value}.{app}"] = {
                 "model": model.value,
                 "app": app,
                 "app_params": dict(params),
-                **fp,
             }
+    for model in GRID_MODELS:
+        specs[f"serve.{model.value}.kvs"] = {
+            "kind": "serve",
+            "model": model.value,
+            "app": "serve_kvs",
+            "app_params": dict(SERVE_PARAMS),
+        }
+    cases: Dict[str, Dict[str, Any]] = {}
+    for name, spec in specs.items():
+        fp = case_fingerprint(spec, "reference")
+        if "error" in fp:
+            raise RuntimeError(
+                f"reference run failed for {name}: {fp['error']}"
+            )
+        cases[name] = {**spec, **fp}
     return cases
 
 
