@@ -8,7 +8,9 @@ An :class:`App` owns a workload description and knows how to:
   system whose PM holds a crash image,
 * ``check(system)`` — raise :class:`RecoveryError` unless the PM state
   satisfies the app's consistency invariants,
-* ``expected()`` — the CPU reference answer for full-completion checks.
+* ``expected()`` — the CPU reference answer for full-completion checks,
+* ``fresh()`` — a new instance with the same params, for a rebooted
+  machine (the crash harness and the fault oracle recover with one).
 
 ``scoped_pmo`` and ``recovery_style`` mirror Table 2 so tests can assert
 the reproduction covers the same design space as the paper.
@@ -17,7 +19,7 @@ the reproduction covers the same design space as the paper.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional
 
 from repro.common.errors import OracleViolation, RecoveryError
@@ -50,6 +52,8 @@ class App(abc.ABC):
     scoped_pmo: str = ""
     #: Table 2's "Recovery" column: "logging" or "native".
     recovery_style: str = ""
+    #: The instance's workload parameters.
+    params: AppParams
 
     @abc.abstractmethod
     def setup(self, system: GPUSystem) -> None:
@@ -71,6 +75,12 @@ class App(abc.ABC):
     def check(self, system: GPUSystem, complete: bool = True) -> None:
         """Verify consistency invariants; with ``complete=True``, also
         verify the final answer matches the CPU reference."""
+
+    def fresh(self) -> "App":
+        """A new, not yet set-up instance with the same params."""
+        return type(self)(
+            **{f.name: getattr(self.params, f.name) for f in fields(self.params)}
+        )
 
     def reopen(self, system: GPUSystem) -> None:
         """Re-open PM regions by name on a rebooted system.

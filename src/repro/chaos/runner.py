@@ -195,7 +195,7 @@ def run_soak_scenario(
             image = system.crash(at=t_crash)
             _merge_counts(injected, system.faults)
             classification, error = recover_and_classify(
-                app_name, params, config, image
+                app.fresh, config, image
             )
             offset += t_crash
             rebooted = GPUSystem(

@@ -6,6 +6,20 @@ Workflow::
     report = harness.crash_at_fraction(0.5)   # power fails mid-run
     assert report.consistent
 
+A caller that has already run and synced the workload on a machine of
+the harness's config hands that machine over with
+:meth:`CrashHarness.adopt` instead of letting :meth:`~CrashHarness.baseline`
+simulate it a second time: crash images come from the machine's persist
+log, so every crash lands exactly where it would on a lazy baseline::
+
+    app = build_app("gpkvs")
+    system = GPUSystem(config)
+    app.setup(system)
+    run = app.run(system)
+    system.sync()
+    harness = CrashHarness(app.fresh, config)
+    harness.adopt(system, app, run)   # the harness now closes `system`
+
 A *crash* is a point-in-time snapshot of the durable PM image (the
 persist log records when each persist was accepted by an ADR memory
 controller).  Recovery always happens on a **fresh machine**: new GPU,
@@ -73,6 +87,21 @@ class CrashHarness:
             self._baseline = system
             self._baseline_app = app
         return self._baseline
+
+    def adopt(self, system: GPUSystem, app: App, run: RunOutcome) -> None:
+        """Use an already-run machine as the baseline.
+
+        *system* must be built from this harness's config and fault
+        injector, with ``app.setup``, ``app.run`` (which returned *run*)
+        and ``system.sync()`` done on it, just as :meth:`baseline` would
+        do.  The harness owns the machine from here on: :meth:`close`
+        closes it.
+        """
+        if self._baseline is not None:
+            raise ValueError("CrashHarness already has a baseline")
+        if system.config != self.config:
+            raise ValueError("adopted machine has a different config")
+        self._baseline, self._baseline_app, self._run = system, app, run
 
     def close(self) -> None:
         """Free the baseline machine; a later crash re-runs it."""

@@ -20,7 +20,7 @@ a campaign verdict.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.common.config import ModelName, SystemConfig
 from repro.common.errors import (
@@ -32,6 +32,9 @@ from repro.common.errors import (
     SimulationError,
 )
 from repro.system import CrashImage, GPUSystem
+
+if TYPE_CHECKING:
+    from repro.apps.base import App
 
 # ----------------------------------------------------------------------
 # outcome classifications
@@ -99,12 +102,15 @@ def classify_run_exception(exc: ReproError) -> str:
 # application oracle
 # ----------------------------------------------------------------------
 def recover_and_classify(
-    app_name: str,
-    app_params: Dict[str, Any],
+    factory: Callable[[], "App"],
     config: SystemConfig,
     image: CrashImage,
 ) -> Tuple[str, Optional[str]]:
-    """Boot a clean machine from *image*, recover, check invariants.
+    """Boot a clean machine from *image*, recover with a ``factory()``
+    app, check invariants.  Scenario runners pass their app's
+    :meth:`~repro.apps.base.App.fresh`, so an app whose construction
+    plans a workload (``serve_kvs``) plans it once per scenario, not
+    once per crash image.
 
     Returns ``(classification, error)``:
 
@@ -115,9 +121,7 @@ def recover_and_classify(
       classifies as :data:`APP_VIOLATION`;
     * otherwise the state is :data:`CONSISTENT`.
     """
-    from repro.apps import build_app
-
-    app = build_app(app_name, **app_params)
+    app = factory()
     try:
         rebooted = GPUSystem(config, pm_image=image)
     except ReproError as exc:

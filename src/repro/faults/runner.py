@@ -129,7 +129,7 @@ def run_fault_scenario(
         for t in times:
             image = system.crash(at=min(t, system.now))
             classification, error = recover_and_classify(
-                app_name, app_params, config, image
+                app.fresh, config, image
             )
             points.append(
                 {"time": t, "classification": classification, "error": error}

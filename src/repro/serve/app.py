@@ -133,11 +133,21 @@ class ServeKVS(App):
                 "have '', 'early_commit'"
             )
         #: The plan is a pure function of the params, so every instance
-        #: (including the fresh ones the crash harness builds for
-        #: recovery) sees the identical stream.
+        #: sees the identical stream (the :meth:`fresh` twins the crash
+        #: harness recovers with share this one).
         self.plan: Plan = plan_workload(self.params.workload())
         #: Per batch: the launch list (suffix, lane arrays).
         self._stages = [self._batch_stages(b) for b in self.plan.batches]
+
+    def fresh(self) -> "ServeKVS":
+        """A twin that shares this instance's plan and lane arrays
+        instead of re-planning: both are pure functions of the params
+        and nothing writes to them after construction."""
+        twin = object.__new__(type(self))
+        twin.params = self.params
+        twin.plan = self.plan
+        twin._stages = self._stages
+        return twin
 
     # ------------------------------------------------------------------
     # memory layout

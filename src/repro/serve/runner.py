@@ -13,10 +13,15 @@ machine, then prices the stream against its open-loop arrival times:
   plus service time, recorded into a :mod:`repro.metrics` histogram
   whose deterministic p50/p95/p99 land in the result stats;
 * throughput is requests per simulated second over the stream's span;
-* recovery time reuses :class:`~repro.crash.CrashHarness`'s worst-case
+* recovery time is :class:`~repro.crash.CrashHarness`'s worst-case
   crash point (the paper's Figure 11 scenario) — power fails just
   before the last commit durably lands, the recovery kernel runs on a
   rebooted machine, and its cycles are the recovery-under-load cost.
+  The measured machine *is* the harness baseline
+  (:meth:`~repro.crash.CrashHarness.adopt`): the crash image is read
+  from its persist log, so the stream is simulated once, and the
+  recovery app is a :meth:`~repro.serve.app.ServeKVS.fresh` twin that
+  shares the planned stream instead of planning it again.
 
 Everything is a deterministic function of (app params, config), so
 serve reports are byte-identical across Executor worker counts.
@@ -85,13 +90,13 @@ def run_serve_scenario(
     n_requests = len(plan.requests)
     throughput = n_requests / span_s if span_s > 0 else 0.0
 
+    # The measured machine becomes the harness baseline; the harness
+    # closes it once the metrics snapshot below has been read.
+    harness = CrashHarness(app.fresh, config)
+    harness.adopt(system, app, outcome)
     recovery_cycles = 0.0
     if measure_recovery:
-        harness = CrashHarness(lambda: build_app(app_name, **params), config)
-        try:
-            recovery_cycles = harness.recovery_cycles_at_worst_case()
-        finally:
-            harness.close()
+        recovery_cycles = harness.recovery_cycles_at_worst_case()
 
     paths = app.path_counts()
     stats: Dict[str, float] = {
@@ -120,5 +125,5 @@ def run_serve_scenario(
         detail=detail,
         metrics=system.metrics_snapshot(),
     )
-    system.close()
+    harness.close()
     return result

@@ -54,6 +54,52 @@ class TestHarnessMechanics:
         first = harness.baseline()
         assert harness.baseline() is first
 
+    def _finished_run(self, config):
+        system = GPUSystem(config)
+        app = build_app("gpkvs", **SIZES["gpkvs"])
+        app.setup(system)
+        run = app.run(system)
+        system.sync()
+        return system, app, run
+
+    def test_adopted_run_is_the_baseline(self):
+        harness = self.make()
+        system, app, run = self._finished_run(harness.config)
+        harness.adopt(system, app, run)
+        assert harness.baseline() is system
+        assert harness.run_cycles == run.cycles
+        assert harness.end_time() == system.now
+
+    def test_adopt_refuses_a_second_baseline(self):
+        harness = self.make()
+        harness.baseline()
+        with pytest.raises(ValueError, match="already has a baseline"):
+            harness.adopt(*self._finished_run(harness.config))
+
+    def test_adopt_refuses_a_foreign_config(self):
+        harness = self.make(ModelName.SBRP)
+        foreign = self._finished_run(small_system(ModelName.EPOCH))
+        with pytest.raises(ValueError, match="different config"):
+            harness.adopt(*foreign)
+
+    def test_close_closes_the_adopted_machine(self):
+        from repro.common.errors import SimulationError
+
+        harness = self.make()
+        system, app, run = self._finished_run(harness.config)
+        harness.adopt(system, app, run)
+        harness.close()
+        with pytest.raises(SimulationError):
+            system.now
+
+
+@pytest.mark.parametrize("name", sorted(APPS))
+def test_fresh_is_a_new_instance_with_the_same_params(name):
+    app = build_app(name, **SIZES[name])
+    twin = app.fresh()
+    assert type(twin) is type(app) and twin is not app
+    assert twin.params == app.params
+
 
 class TestScopedPersistencyBug:
     """Section 5.3: using a narrower scope than program semantics needs.

@@ -176,7 +176,7 @@ class TestOracleClassification:
         app.run(system)
         system.sync()
         classification, error = recover_and_classify(
-            "gpkvs", dict(PARAMS), config, system.crash()
+            app.fresh, config, system.crash()
         )
         assert classification == CONSISTENT and error is None
 
