@@ -7,10 +7,11 @@ Workflow::
     assert report.consistent
 
 A caller that has already run and synced the workload on a machine of
-the harness's config hands that machine over with
-:meth:`CrashHarness.adopt` instead of letting :meth:`~CrashHarness.baseline`
-simulate it a second time: crash images come from the machine's persist
-log, so every crash lands exactly where it would on a lazy baseline::
+the harness's config lends it to the harness with
+:meth:`CrashHarness.adopt`, so :meth:`~CrashHarness.baseline` does not
+simulate it a second time.  Crash images only read the machine's
+persist log, so every crash lands exactly where it would on a lazily
+run baseline::
 
     app = build_app("gpkvs")
     system = GPUSystem(config)
@@ -18,7 +19,7 @@ log, so every crash lands exactly where it would on a lazy baseline::
     run = app.run(system)
     system.sync()
     harness = CrashHarness(app.fresh, config)
-    harness.adopt(system, app, run)   # the harness now closes `system`
+    harness.adopt(system, run)   # the caller still closes `system`
 
 A *crash* is a point-in-time snapshot of the durable PM image (the
 persist log records when each persist was accepted by an ADR memory
@@ -70,7 +71,6 @@ class CrashHarness:
         #: happens on a clean machine.
         self.faults = faults
         self._baseline: Optional[GPUSystem] = None
-        self._baseline_app: Optional[App] = None
         self._run: Optional[RunOutcome] = None
 
     # ------------------------------------------------------------------
@@ -82,33 +82,32 @@ class CrashHarness:
             system = GPUSystem(self.config, faults=self.faults)
             app = self.factory()
             app.setup(system)
-            self._run = app.run(system)
+            run = app.run(system)
             system.sync()
-            self._baseline = system
-            self._baseline_app = app
+            self.adopt(system, run)
         return self._baseline
 
-    def adopt(self, system: GPUSystem, app: App, run: RunOutcome) -> None:
+    def adopt(self, system: GPUSystem, run: RunOutcome) -> None:
         """Use an already-run machine as the baseline.
 
         *system* must be built from this harness's config and fault
-        injector, with ``app.setup``, ``app.run`` (which returned *run*)
-        and ``system.sync()`` done on it, just as :meth:`baseline` would
-        do.  The harness owns the machine from here on: :meth:`close`
-        closes it.
+        injector, with a factory app's ``setup`` and ``run`` (which
+        returned *run*) and ``system.sync()`` done on it, as
+        :meth:`baseline` does.  Crash images only read its persist log.
+        The caller keeps ownership and closes *system* itself (closing
+        is idempotent, so a later :meth:`close` here is harmless).
         """
         if self._baseline is not None:
             raise ValueError("CrashHarness already has a baseline")
         if system.config != self.config:
             raise ValueError("adopted machine has a different config")
-        self._baseline, self._baseline_app, self._run = system, app, run
+        self._baseline, self._run = system, run
 
     def close(self) -> None:
         """Free the baseline machine; a later crash re-runs it."""
         if self._baseline is not None:
             self._baseline.close()
             self._baseline = None
-            self._baseline_app = None
 
     @property
     def run_cycles(self) -> float:

@@ -52,51 +52,53 @@ def run_serve_scenario(
     """Serve one request stream and report its SLO numbers."""
     params = dict(app_params or {})
     metrics = MetricsRegistry()
-    system = GPUSystem(config, metrics=metrics)
-    app = build_app(app_name, **params)
-    app.setup(system)
-    outcome = app.run(system)
-    system.sync()
-    app.check(system, complete=True)
+    with GPUSystem(config, metrics=metrics) as system:
+        app = build_app(app_name, **params)
+        app.setup(system)
+        outcome = app.run(system)
+        system.sync()
+        app.check(system, complete=True)
 
-    # Price the stream on the open-loop virtual clock.  A batch may
-    # commit in stages ("serve.batch3.wt" + "serve.batch3"), so group
-    # kernel cycles by the batch index encoded in the launch name.
-    plan = app.plan
-    batch_cycles: Dict[int, float] = {}
-    for kernel in outcome.kernels:
-        index = int(kernel.name.split(".")[1].removeprefix("batch"))
-        batch_cycles[index] = batch_cycles.get(index, 0.0) + kernel.cycles
-    finish = 0.0
-    batch_rows = []
-    for batch in plan.batches:
-        start = max(finish, float(batch.ready_time))
-        finish = start + batch_cycles[batch.index]
-        batch_rows.append(
-            {
-                "batch": batch.index,
-                "requests": len(batch.requests),
-                "ready": batch.ready_time,
-                "start": start,
-                "finish": finish,
-                "kernel_cycles": batch_cycles[batch.index],
-            }
-        )
-        for req in batch.requests:
-            metrics.observe(LATENCY_METRIC, finish - req.arrival)
+        recovery_cycles = 0.0
+        if measure_recovery:
+            # The measured machine is the harness baseline, so the
+            # stream is simulated once; the reboot's app shares its plan.
+            harness = CrashHarness(app.fresh, config)
+            harness.adopt(system, outcome)
+            recovery_cycles = harness.recovery_cycles_at_worst_case()
+
+        # Price the stream on the open-loop virtual clock.  A batch may
+        # commit in stages ("serve.batch3.wt" + "serve.batch3"), so
+        # group kernel cycles by the batch index encoded in the launch
+        # name.
+        plan = app.plan
+        batch_cycles: Dict[int, float] = {}
+        for kernel in outcome.kernels:
+            index = int(kernel.name.split(".")[1].removeprefix("batch"))
+            batch_cycles[index] = batch_cycles.get(index, 0.0) + kernel.cycles
+        finish = 0.0
+        batch_rows = []
+        for batch in plan.batches:
+            start = max(finish, float(batch.ready_time))
+            finish = start + batch_cycles[batch.index]
+            batch_rows.append(
+                {
+                    "batch": batch.index,
+                    "requests": len(batch.requests),
+                    "ready": batch.ready_time,
+                    "start": start,
+                    "finish": finish,
+                    "kernel_cycles": batch_cycles[batch.index],
+                }
+            )
+            for req in batch.requests:
+                metrics.observe(LATENCY_METRIC, finish - req.arrival)
+        snapshot = system.metrics_snapshot()
 
     latency = metrics.histogram(LATENCY_METRIC).summary()
     span_s = finish / (CLOCK_MHZ * 1e6)
     n_requests = len(plan.requests)
     throughput = n_requests / span_s if span_s > 0 else 0.0
-
-    # The measured machine becomes the harness baseline; the harness
-    # closes it once the metrics snapshot below has been read.
-    harness = CrashHarness(app.fresh, config)
-    harness.adopt(system, app, outcome)
-    recovery_cycles = 0.0
-    if measure_recovery:
-        recovery_cycles = harness.recovery_cycles_at_worst_case()
 
     paths = app.path_counts()
     stats: Dict[str, float] = {
@@ -117,13 +119,11 @@ def run_serve_scenario(
         "mix": params.get("mix", "update_heavy"),
         "batches": batch_rows,
     }
-    result = ScenarioResult(
+    return ScenarioResult(
         app=app_name,
         label=config.label,
         cycles=outcome.cycles,
         stats=stats,
         detail=detail,
-        metrics=system.metrics_snapshot(),
+        metrics=snapshot,
     )
-    harness.close()
-    return result

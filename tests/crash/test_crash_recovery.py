@@ -65,7 +65,7 @@ class TestHarnessMechanics:
     def test_adopted_run_is_the_baseline(self):
         harness = self.make()
         system, app, run = self._finished_run(harness.config)
-        harness.adopt(system, app, run)
+        harness.adopt(system, run)
         assert harness.baseline() is system
         assert harness.run_cycles == run.cycles
         assert harness.end_time() == system.now
@@ -73,21 +73,22 @@ class TestHarnessMechanics:
     def test_adopt_refuses_a_second_baseline(self):
         harness = self.make()
         harness.baseline()
+        system, _, run = self._finished_run(harness.config)
         with pytest.raises(ValueError, match="already has a baseline"):
-            harness.adopt(*self._finished_run(harness.config))
+            harness.adopt(system, run)
 
     def test_adopt_refuses_a_foreign_config(self):
         harness = self.make(ModelName.SBRP)
-        foreign = self._finished_run(small_system(ModelName.EPOCH))
+        system, _, run = self._finished_run(small_system(ModelName.EPOCH))
         with pytest.raises(ValueError, match="different config"):
-            harness.adopt(*foreign)
+            harness.adopt(system, run)
 
     def test_close_closes_the_adopted_machine(self):
         from repro.common.errors import SimulationError
 
         harness = self.make()
         system, app, run = self._finished_run(harness.config)
-        harness.adopt(system, app, run)
+        harness.adopt(system, run)
         harness.close()
         with pytest.raises(SimulationError):
             system.now

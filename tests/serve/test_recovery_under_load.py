@@ -122,7 +122,7 @@ class TestAdoptedBaseline:
         system.sync()
         app.check(system, complete=True)
         adopted = CrashHarness(app.fresh, config)
-        adopted.adopt(system, app, run)
+        adopted.adopt(system, run)
         lazy = harness(model)
         try:
             for fraction in (0.0, 0.5, 0.999, 1.0):
